@@ -24,8 +24,8 @@ from .estimators import (
 from .line_model import (
     AdmittanceVector,
     EivProblem,
+    PMU_DTYPE,
     LineParameters,
-    PmuRecord,
     admittance_to_params,
     branch_currents,
     build_regression,
@@ -69,7 +69,7 @@ __all__ = [
     "LineParameters",
     "LoadRampProfile",
     "NoiseAssignment",
-    "PmuRecord",
+    "PMU_DTYPE",
     "Scenario",
     "admittance_to_params",
     "apply_noise",

@@ -20,6 +20,7 @@ from .io import (
     estimator_from_dict,
     load_bench_config,
     noise_to_dict,
+    read_json,
     read_records_csv,
     scenario_to_dict,
     write_records_csv,
@@ -50,7 +51,7 @@ def _scenarios_from_args(args) -> list[Scenario]:
         return cfg["scenarios"]
     noise = noise_from_dict({"type": "gaussian", "mu": 0.0, "sigma": 0.005})
     return [
-        Scenario(label, line, LoadRampProfile(), noise, seed=args.seed)
+        Scenario(label, line, LoadRampProfile(), noise)
         for label, line in stock_lines().items()
     ]
 
@@ -88,8 +89,7 @@ def cmd_estimate(args) -> int:
     parameters there is no better generic warm start.
     """
     records = read_records_csv(args.data)
-    with open(args.config) as fh:
-        raw = json.load(fh)
+    raw = read_json(args.config)
     if not isinstance(raw, dict) or "method" not in raw:
         raise ConfigError("estimator config must be an object with a 'method' key")
     config = estimator_from_dict(raw)

@@ -222,8 +222,9 @@ def egle_estimate(problem: EivProblem, config: EstimatorConfig) -> EstimateResul
     Raises
     ------
     EstimatorError
-        If every candidate m fails outright (singular Newton systems or
-        non-finite steps), leaving nothing to select from.
+        If every candidate m fails outright (singular Newton systems,
+        non-finite steps or EM rejecting diverged samples), leaving nothing
+        to select from.
     """
     start = time.perf_counter()
     n, p = problem.x.shape
@@ -264,7 +265,8 @@ def egle_estimate(problem: EivProblem, config: EstimatorConfig) -> EstimateResul
                     problem, y_fit.model, x_fit.model, labels, w,
                     tol=config.egle_inner_tol,
                 )
-            except EstimatorError as exc:
+            except (EstimatorError, ValueError) as exc:
+                # em_fit rejects non-finite samples once an iterate diverges
                 failure = str(exc)
                 break
             w_next = res.w

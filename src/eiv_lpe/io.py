@@ -7,7 +7,6 @@ a write/read round trip is exact.  Config files are JSON with a versioned
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 from typing import Any
@@ -15,7 +14,7 @@ from typing import Any
 import numpy as np
 
 from .estimators import EstimatorConfig
-from .line_model import LineParameters, PmuRecord
+from .line_model import PMU_DTYPE, LineParameters
 from .noise import GaussianNoise, GmmModel, GmmNoise, LaplacianNoise, NoiseModel
 from .scenario import LoadRampProfile, Scenario
 
@@ -24,6 +23,7 @@ __all__ = [
     "PMU_CSV_HEADER",
     "write_records_csv",
     "read_records_csv",
+    "read_json",
     "noise_to_dict",
     "noise_from_dict",
     "scenario_to_dict",
@@ -41,57 +41,56 @@ class ConfigError(ValueError):
     """Invalid configuration or data file."""
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
+# The CSV columns viewed onto PMU_DTYPE: each complex field is its real part
+# followed by its imaginary part, so the two dtypes share one memory layout.
+_CSV_DTYPE = np.dtype(
+    [(PMU_CSV_HEADER[0], np.int64)] + [(name, np.float64) for name in PMU_CSV_HEADER[1:]]
+)
 
 
-def write_records_csv(records: list[PmuRecord], path: str | Path) -> None:
-    """Write records in the standard 9-column PMU CSV layout."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PMU_CSV_HEADER)
-        for r in records:
-            writer.writerow(
-                [r.t]
-                + [
-                    _fmt(v)
-                    for v in (
-                        r.vk.real, r.vk.imag, r.vl.real, r.vl.imag,
-                        r.ik.real, r.ik.imag, r.il.real, r.il.imag,
-                    )
-                ]
-            )
+def write_records_csv(records: np.recarray, path: str | Path) -> None:
+    """Write a record window in the standard 9-column PMU CSV layout."""
+    # savetxt formats row by row; rows of a plain ndarray are read in C,
+    # where np.record rows would go through Python-level field access
+    rows = records.view(np.ndarray).view(_CSV_DTYPE)
+    np.savetxt(
+        path, rows, fmt=["%d"] + ["%.17g"] * 8, delimiter=",",
+        newline="\r\n", header=",".join(PMU_CSV_HEADER), comments="",
+    )
 
 
-def read_records_csv(path: str | Path) -> list[PmuRecord]:
+def read_records_csv(path: str | Path) -> np.recarray:
     """Read a PMU CSV written by write_records_csv.
 
     Raises
     ------
     ConfigError
-        On a missing or malformed header or short rows.
+        If the file cannot be read, or on a missing or malformed header,
+        short rows or unparseable cells.
     """
-    records: list[PmuRecord] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != PMU_CSV_HEADER:
-            raise ConfigError(f"bad PMU CSV header in {path}: {header}")
-        for row in reader:
-            if len(row) != 9:
-                raise ConfigError(f"bad PMU CSV row in {path}: {row}")
-            t = int(row[0])
-            v = [float(c) for c in row[1:]]
-            records.append(
-                PmuRecord(
-                    t,
-                    complex(v[0], v[1]),
-                    complex(v[2], v[3]),
-                    complex(v[4], v[5]),
-                    complex(v[6], v[7]),
-                )
-            )
-    return records
+    try:
+        with open(path) as fh:
+            header = fh.readline().rstrip("\n").split(",")
+            if header != PMU_CSV_HEADER:
+                raise ConfigError(f"bad PMU CSV header in {path}: {header}")
+            try:
+                values = np.loadtxt(fh, dtype=_CSV_DTYPE, delimiter=",", ndmin=1)
+            except ValueError as exc:
+                raise ConfigError(f"bad PMU CSV row in {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read PMU CSV {path}: {exc}") from exc
+    return values.view(PMU_DTYPE).view(np.recarray)
+
+
+def read_json(path: str | Path) -> Any:
+    """Parse a JSON file, raising ConfigError when it is missing or malformed."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
 
 
 def noise_to_dict(model: NoiseModel | None) -> dict | None:
@@ -191,13 +190,7 @@ def load_bench_config(path: str | Path) -> dict[str, Any]:
     Returns a dict with keys: scenarios (list[Scenario]), estimators
     (list[EstimatorConfig]), seeds (list[int]), output_dir (str | None).
     """
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    raw = read_json(path)
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     if raw.get("schema") != SCHEMA_VERSION:

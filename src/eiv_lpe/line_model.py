@@ -18,7 +18,7 @@ import numpy as np
 __all__ = [
     "LineParameters",
     "AdmittanceVector",
-    "PmuRecord",
+    "PMU_DTYPE",
     "EivProblem",
     "branch_currents",
     "params_to_admittance",
@@ -32,6 +32,14 @@ __all__ = [
 # pi-model line.  Shape (p, c) with c = 1.
 CONSTRAINT_C = np.array([[1.0], [0.0], [1.0], [0.0]])
 CONSTRAINT_F = np.array([0.0])
+
+# One synchronized snapshot of the four terminal phasors.  A window of
+# records is an np.recarray of this dtype: records.vk is the vk column, and
+# iterating yields per-record objects with .t, .vk, ... fields.
+PMU_DTYPE = np.dtype(
+    [("t", np.int64), ("vk", np.complex128), ("vl", np.complex128),
+     ("ik", np.complex128), ("il", np.complex128)]
+)
 
 
 @dataclass(frozen=True)
@@ -75,17 +83,6 @@ class AdmittanceVector:
         if w.shape != (4,):
             raise ValueError(f"admittance vector must have shape (4,), got {w.shape}")
         return cls(*(float(v) for v in w))
-
-
-@dataclass(frozen=True)
-class PmuRecord:
-    """One synchronized snapshot of the four terminal phasors."""
-
-    t: int
-    vk: complex
-    vl: complex
-    ik: complex
-    il: complex
 
 
 @dataclass
@@ -137,17 +134,41 @@ def series_admittance(params: LineParameters) -> complex:
     return 1.0 / complex(params.r, params.x)
 
 
-def branch_currents(vk: complex, vl: complex, params: LineParameters) -> tuple[complex, complex]:
+def _times(a: complex, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of a * v, rounded as Python's complex product.
+
+    NumPy's complex multiply rounds differently in the last bit on some
+    inputs; spelling the product out keeps records equal to the scalar
+    formula bit for bit.
+    """
+    return a.real * v.real - a.imag * v.imag, a.real * v.imag + a.imag * v.real
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Complex array from its parts; re + 1j*im would turn -0.0 imaginary parts into +0.0."""
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def branch_currents(
+    vk: complex | np.ndarray, vl: complex | np.ndarray, params: LineParameters
+) -> tuple[complex | np.ndarray, complex | np.ndarray]:
     """Terminal current phasors (ik, il) of the pi-model line.
 
     ik = (y_kl + jb) vk - y_kl vl and symmetrically for il, with half the
-    total shunt susceptance lumped at each terminal.
+    total shunt susceptance lumped at each terminal.  vk and vl may be
+    scalars or equal-shape arrays; the result has their shape.
     """
     y = series_admittance(params)
-    jb = complex(0.0, params.b)
-    ik = (y + jb) * vk - y * vl
-    il = (y + jb) * vl - y * vk
-    return ik, il
+    y_shunt = y + complex(0.0, params.b)
+    vk = np.asarray(vk, dtype=complex)
+    vl = np.asarray(vl, dtype=complex)
+    (ak, bk), (al, bl) = _times(y_shunt, vk), _times(y, vl)
+    ik = _complex(ak - al, bk - bl)
+    (ak, bk), (al, bl) = _times(y_shunt, vl), _times(y, vk)
+    il = _complex(ak - al, bk - bl)
+    return ik[()], il[()]
 
 
 def params_to_admittance(params: LineParameters) -> AdmittanceVector:
@@ -183,23 +204,20 @@ def admittance_to_params(w: AdmittanceVector | np.ndarray) -> LineParameters:
 
 def simulate_records(
     vk: np.ndarray, vl: np.ndarray, params: LineParameters
-) -> list[PmuRecord]:
-    """Build exact records from voltage phasor trajectories."""
+) -> np.recarray:
+    """Build an exact record window from voltage phasor trajectories."""
     if vk.shape != vl.shape:
         raise ValueError("voltage trajectories must have equal length")
-    records = []
-    for t, (a, b_) in enumerate(zip(vk, vl)):
-        ik, il = branch_currents(complex(a), complex(b_), params)
-        records.append(PmuRecord(t, complex(a), complex(b_), ik, il))
-    return records
+    ik, il = branch_currents(vk, vl, params)
+    return np.rec.fromarrays([np.arange(len(vk)), vk, vl, ik, il], dtype=PMU_DTYPE)
 
 
 def build_regression(
-    records: list[PmuRecord],
+    records: np.recarray,
     with_constraint: bool = False,
     eps0: float = 1.0,
 ) -> EivProblem:
-    """Stack PMU records into the 4-rows-per-record real regression.
+    """Stack a PMU record window into the 4-rows-per-record real regression.
 
     Per record, in order: Re(ik), Im(ik), Re(il), Im(il) regressed on the
     voltage components arranged so that one coefficient vector serves all
@@ -210,22 +228,14 @@ def build_regression(
         [Re vl,  Im vl,  Re vk,  Im vk]   ->  Re il
         [Im vl, -Re vl,  Im vk, -Re vk]   ->  Im il
     """
-    if not records:
+    if len(records) == 0:
         raise ValueError("need at least one record")
-    n = len(records)
-    x = np.empty((4 * n, 4))
-    y = np.empty(4 * n)
-    for i, rec in enumerate(records):
-        vk, vl = rec.vk, rec.vl
-        base = 4 * i
-        x[base + 0] = (vk.real, vk.imag, vl.real, vl.imag)
-        x[base + 1] = (vk.imag, -vk.real, vl.imag, -vl.real)
-        x[base + 2] = (vl.real, vl.imag, vk.real, vk.imag)
-        x[base + 3] = (vl.imag, -vl.real, vk.imag, -vk.real)
-        y[base + 0] = rec.ik.real
-        y[base + 1] = rec.ik.imag
-        y[base + 2] = rec.il.real
-        y[base + 3] = rec.il.imag
+    a, b = records.vk.real, records.vk.imag
+    c, d = records.vl.real, records.vl.imag
+    stencils = [[a, b, c, d], [b, -a, d, -c], [c, d, a, b], [d, -c, b, -a]]
+    x = np.array(stencils).transpose(2, 0, 1).reshape(-1, 4)
+    ik, il = records.ik, records.il
+    y = np.stack([ik.real, ik.imag, il.real, il.imag], axis=1).ravel()
     constraint = (CONSTRAINT_C.copy(), CONSTRAINT_F.copy()) if with_constraint else None
     return EivProblem(x, y, constraint=constraint, eps0=eps0)
 

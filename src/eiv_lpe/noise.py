@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .line_model import PmuRecord
-
 __all__ = [
     "GmmModel",
     "GaussianNoise",
@@ -160,27 +158,19 @@ def sample_noise(model: NoiseModel, count: int, seed: int) -> np.ndarray:
     return _draw(model, count, np.random.default_rng(seed))
 
 
-def apply_noise(
-    records: list[PmuRecord], model: NoiseModel, seed: int
-) -> list[PmuRecord]:
+def apply_noise(records: np.recarray, model: NoiseModel, seed: int) -> np.recarray:
     """Add iid noise to all 8 phasor scalars of every record.
 
     Draw order is fixed per record: vk.re, vk.im, vl.re, vl.im, ik.re,
     ik.im, il.re, il.im, so a given seed always produces the same noise
     matrix regardless of caller context.
     """
-    draws = sample_noise(model, 8 * len(records), seed).reshape(-1, 8)
-    noisy = []
-    for rec, d in zip(records, draws):
-        noisy.append(
-            PmuRecord(
-                rec.t,
-                complex(rec.vk.real + d[0], rec.vk.imag + d[1]),
-                complex(rec.vl.real + d[2], rec.vl.imag + d[3]),
-                complex(rec.ik.real + d[4], rec.ik.imag + d[5]),
-                complex(rec.il.real + d[6], rec.il.imag + d[7]),
-            )
-        )
+    draws = sample_noise(model, 8 * len(records), seed).reshape(-1, 4, 2)
+    noisy = records.copy()
+    for j, name in enumerate(("vk", "vl", "ik", "il")):
+        column = noisy[name]
+        column.real += draws[:, j, 0]
+        column.imag += draws[:, j, 1]
     return noisy
 
 

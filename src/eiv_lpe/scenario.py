@@ -15,9 +15,9 @@ import numpy as np
 
 from .estimators import EstimateResult, EstimatorConfig, EstimatorError, estimate
 from .line_model import (
-    EivProblem,
+    CONSTRAINT_C,
+    CONSTRAINT_F,
     LineParameters,
-    PmuRecord,
     admittance_to_params,
     build_regression,
     params_to_admittance,
@@ -139,8 +139,8 @@ class ScenarioRun:
     error: str | None = None
 
 
-def generate_true_records(scenario: Scenario) -> list[PmuRecord]:
-    """Exact records for the scenario's line along its voltage ramp.
+def generate_true_records(scenario: Scenario) -> np.recarray:
+    """Exact record window for the scenario's line along its voltage ramp.
 
     Emits ConditioningWarning when the induced regression matrix has a
     condition number above 1e8 (degenerate ramp).
@@ -210,8 +210,8 @@ def run_scenario(
     eff_seed = scenario.seed if seed is None else seed
     clean = generate_true_records(scenario)
     records = clean if scenario.noise is None else apply_noise(clean, scenario.noise, eff_seed)
-    free = build_regression(records, with_constraint=False)
-    tied = build_regression(records, with_constraint=True)
+    free = build_regression(records)
+    tied = replace(free, constraint=(CONSTRAINT_C.copy(), CONSTRAINT_F.copy()))
     w_true = params_to_admittance(scenario.line).as_array()
     guess = params_to_admittance(initial_guess(scenario.line, eff_seed)).as_array()
 

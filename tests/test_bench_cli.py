@@ -5,6 +5,7 @@ import json
 import xml.etree.ElementTree as ET
 
 import numpy as np
+import pytest
 
 from eiv_lpe.bench import BenchConfig, median_iqr, rows_from_csv, run_bench
 from eiv_lpe.cli import main
@@ -185,6 +186,19 @@ def test_cli_generate_stock_lines(tmp_path):
     assert "L_64-65_clean.csv" in files
 
 
+def test_cli_generate_without_seed_is_reproducible(tmp_path):
+    # the stock lines default to noise seed 0 rather than OS entropy
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main(["generate", "--out", str(out)]) == 0
+    noisy = sorted(p.name for p in outs[0].glob("*_noisy.csv"))
+    assert len(noisy) == 10
+    for name in noisy:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    manifest = json.loads((outs[0] / "manifest.json").read_text())
+    assert all(entry["seed"] == 0 for entry in manifest["scenarios"])
+
+
 def test_cli_estimate(tmp_path):
     cfg = _bench_config_json(tmp_path)
     data_dir = tmp_path / "data"
@@ -215,6 +229,44 @@ def test_cli_estimate_rejects_bad_config(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"sigma": 1.0}))  # no method key
     rc = main(["estimate", str(data_dir / "s1_clean.csv"), "--config", str(bad), "--out", str(tmp_path)])
+    assert rc == 2
+
+
+def _clean_csv_and_tls_config(tmp_path):
+    data_dir = tmp_path / "data"
+    main(["generate", "--config", str(_bench_config_json(tmp_path)), "--out", str(data_dir)])
+    est_cfg = tmp_path / "tls.json"
+    est_cfg.write_text(json.dumps({"method": "tls"}))
+    return data_dir / "s1_clean.csv", est_cfg
+
+
+def test_cli_estimate_malformed_json_is_config_error(tmp_path):
+    data, _ = _clean_csv_and_tls_config(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"method": "tls",')
+    rc = main(["estimate", str(data), "--config", str(bad), "--out", str(tmp_path)])
+    assert rc == 2
+
+
+def test_cli_estimate_missing_config_is_config_error(tmp_path):
+    data, _ = _clean_csv_and_tls_config(tmp_path)
+    rc = main(["estimate", str(data), "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
+    assert rc == 2
+
+
+def test_cli_estimate_missing_data_is_config_error(tmp_path):
+    _, est_cfg = _clean_csv_and_tls_config(tmp_path)
+    rc = main(["estimate", str(tmp_path / "nope.csv"), "--config", str(est_cfg), "--out", str(tmp_path)])
+    assert rc == 2
+
+
+@pytest.mark.parametrize("bad_row", ["3,1.0,0.5", "3,1.0,0.5,0.9,x,0.1,0.2,0.3,0.4"])
+def test_cli_estimate_bad_csv_row_is_config_error(tmp_path, bad_row):
+    # a short row and an unparseable cell after otherwise valid records
+    data, est_cfg = _clean_csv_and_tls_config(tmp_path)
+    with open(data, "a", newline="") as fh:
+        fh.write(bad_row + "\r\n")
+    rc = main(["estimate", str(data), "--config", str(est_cfg), "--out", str(tmp_path)])
     assert rc == 2
 
 

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from eiv_lpe.estimators import EstimatorConfig, EstimatorError, egle_estimate, tls_estimate
+from eiv_lpe.estimators import EstimatorConfig, EstimatorError, egle, egle_estimate, tls_estimate
 from eiv_lpe.estimators.egle import (
     egle_em_samples,
     egle_noise_estimates,
@@ -110,6 +110,25 @@ def test_egle_estimate_near_truth_and_meta():
     # constrained output lands on the constraint set
     c, f_vec = problem.constraint
     assert abs((c.T @ res.w).item() - f_vec.item()) < 1e-10
+
+
+def test_egle_keeps_other_candidates_when_em_fails(monkeypatch):
+    # a diverged iterate makes em_fit reject its samples with ValueError;
+    # that fails only the candidate m it happened in
+    real_em_fit = egle.em_fit
+
+    def em_fit(samples, m, *args, **kwargs):
+        if m == 2:
+            raise ValueError("samples must be finite")
+        return real_em_fit(samples, m, *args, **kwargs)
+
+    monkeypatch.setattr(egle, "em_fit", em_fit)
+    rng = np.random.default_rng(4)
+    problem, w_true = _eiv_instance(rng, n=200, p=3, noise=0.02)
+    res = egle_estimate(problem, EstimatorConfig("egle", egle_m_max=2, w0=w_true + 0.05))
+    assert res.egle_meta.m_star == 1
+    assert res.egle_meta.bic_by_m[2] == np.inf
+    assert np.isfinite(res.egle_meta.bic_by_m[1])
 
 
 def test_egle_starts_from_tls_when_unseeded():

@@ -17,7 +17,7 @@ from eiv_lpe.io import (
     scenario_to_dict,
     write_records_csv,
 )
-from eiv_lpe.line_model import LineParameters, PmuRecord
+from eiv_lpe.line_model import PMU_DTYPE, LineParameters
 from eiv_lpe.noise import GaussianNoise, GmmModel, GmmNoise, LaplacianNoise
 from eiv_lpe.scenario import LoadRampProfile, Scenario
 
@@ -25,10 +25,12 @@ from eiv_lpe.scenario import LoadRampProfile, Scenario
 def _random_records(n=25, seed=0):
     rng = np.random.default_rng(seed)
     vals = rng.normal(scale=1e3, size=(n, 8)) * 10.0 ** rng.integers(-12, 3, size=(n, 8))
-    return [
-        PmuRecord(t, complex(v[0], v[1]), complex(v[2], v[3]), complex(v[4], v[5]), complex(v[6], v[7]))
-        for t, v in enumerate(vals)
-    ]
+    records = np.recarray(n, dtype=PMU_DTYPE)
+    records.t = np.arange(n)
+    for j, name in enumerate(("vk", "vl", "ik", "il")):
+        records[name].real = vals[:, 2 * j]
+        records[name].imag = vals[:, 2 * j + 1]
+    return records
 
 
 def test_records_csv_round_trip_exact(tmp_path):

@@ -9,7 +9,7 @@ from eiv_lpe.line_model import (
     AdmittanceVector,
     EivProblem,
     LineParameters,
-    PmuRecord,
+    PMU_DTYPE,
     admittance_to_params,
     branch_currents,
     build_regression,
@@ -100,8 +100,8 @@ def test_phasor():
 
 def test_regression_row_layout():
     # one record with sentinel phasors; rows follow the documented stencil
-    rec = PmuRecord(0, complex(1.0, 2.0), complex(3.0, 4.0), complex(5.0, 6.0), complex(7.0, 8.0))
-    problem = build_regression([rec])
+    rec = (0, complex(1.0, 2.0), complex(3.0, 4.0), complex(5.0, 6.0), complex(7.0, 8.0))
+    problem = build_regression(np.rec.array([rec], dtype=PMU_DTYPE))
     expected_x = np.array(
         [
             [1.0, 2.0, 3.0, 4.0],
@@ -130,8 +130,8 @@ def test_regression_exact_on_clean_records():
 
 
 def test_regression_constraint_attachment():
-    rec = PmuRecord(0, 1 + 0j, 0.9 + 0j, 0.1 + 0j, -0.1 + 0j)
-    problem = build_regression([rec], with_constraint=True)
+    rec = (0, 1 + 0j, 0.9 + 0j, 0.1 + 0j, -0.1 + 0j)
+    problem = build_regression(np.rec.array([rec], dtype=PMU_DTYPE), with_constraint=True)
     c, f = problem.constraint
     assert np.array_equal(c, CONSTRAINT_C)
     assert np.array_equal(f, CONSTRAINT_F)
@@ -141,7 +141,7 @@ def test_regression_constraint_attachment():
 
 def test_regression_rejects_empty():
     with pytest.raises(ValueError):
-        build_regression([])
+        build_regression(np.recarray(0, dtype=PMU_DTYPE))
 
 
 def test_simulate_records_shape_mismatch():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from eiv_lpe.line_model import PmuRecord
+from eiv_lpe.line_model import PMU_DTYPE
 from eiv_lpe.noise import (
     EmFit,
     GaussianNoise,
@@ -82,10 +82,10 @@ def test_sample_noise_moments():
 def test_apply_noise_order_and_reproducibility():
     # per record the eight draws go to vk.re, vk.im, vl.re, vl.im,
     # ik.re, ik.im, il.re, il.im in that order
-    recs = [
-        PmuRecord(0, 1 + 2j, 3 + 4j, 5 + 6j, 7 + 8j),
-        PmuRecord(1, -1 + 0j, 0.5 - 0.5j, 0j, 1j),
-    ]
+    recs = np.rec.array(
+        [(0, 1 + 2j, 3 + 4j, 5 + 6j, 7 + 8j), (1, -1 + 0j, 0.5 - 0.5j, 0j, 1j)],
+        dtype=PMU_DTYPE,
+    )
     model = GaussianNoise(0.0, 0.3)
     noisy = apply_noise(recs, model, seed=9)
     draws = sample_noise(model, 16, seed=9).reshape(2, 8)

@@ -56,7 +56,7 @@ def test_generate_true_records_deterministic_and_well_conditioned():
     sc = Scenario("a", STOCK, LoadRampProfile(n_records=50), None)
     r1 = generate_true_records(sc)
     r2 = generate_true_records(sc)
-    assert r1 == r2
+    assert np.array_equal(r1, r2)
     cond = np.linalg.cond(build_regression(r1).x)
     assert cond < 1e6
 
