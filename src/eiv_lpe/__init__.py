@@ -14,7 +14,6 @@ from .estimators import (
     EstimatorConfig,
     EstimatorError,
     cmtc_estimate,
-    default_config,
     egle_estimate,
     estimate,
     mtc_estimate,
@@ -40,7 +39,6 @@ from .noise import (
     NoiseAssignment,
     apply_noise,
     gmm_bic,
-    gmm_em_fit,
     sample_noise,
 )
 from .scenario import (
@@ -77,12 +75,10 @@ __all__ = [
     "branch_currents",
     "build_regression",
     "cmtc_estimate",
-    "default_config",
     "egle_estimate",
     "estimate",
     "generate_true_records",
     "gmm_bic",
-    "gmm_em_fit",
     "mtc_estimate",
     "mtee_estimate",
     "params_to_admittance",

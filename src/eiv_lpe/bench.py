@@ -89,8 +89,12 @@ class BenchReport:
 
 def _run_cell(args) -> tuple[RunRow, list[tuple[np.ndarray, float]] | None]:
     scenario, config, seed = args
-    outcome = run_scenario(scenario, [config], seed=seed)[0]
     row = RunRow(scenario.label, config.method, seed)
+    try:
+        outcome = run_scenario(scenario, [config], seed=seed)[0]
+    except Exception as exc:  # one bad cell must not abort the grid
+        row.error = f"{type(exc).__name__}: {exc}"
+        return row, None
     if outcome.error is not None:
         row.error = outcome.error
         return row, None
@@ -240,7 +244,8 @@ def _svg_log_x_plot(iterations: np.ndarray, values: np.ndarray, title: str) -> s
     Coordinates are rounded to 0.01 px and points that round onto the same x
     keep the last value, so x strictly increases and the bytes depend only
     on the data.  A zero-width data range (one point, a flat line) is drawn
-    at the left or bottom edge instead of dividing by zero.
+    at the left or bottom edge instead of dividing by zero, and a curve of
+    one point also gets a circle marker.
     """
     lx = np.log10(iterations)
     x_lo, x_hi = float(lx.min()), float(lx.max())
@@ -254,6 +259,10 @@ def _svg_log_x_plot(iterations: np.ndarray, values: np.ndarray, title: str) -> s
     points: dict[str, str] = {}
     for xv, yv in zip(lx, values):
         points[px(xv)] = f"{_SVG_BOTTOM - (yv - y_lo) * y_scale:.2f}"
+    marker = ""
+    if len(points) == 1:  # a one-point polyline draws nothing
+        ((cx, cy),) = points.items()
+        marker = f'<circle cx="{cx}" cy="{cy}" r="3" fill="#1f77b4"/>\n'
     ticks = "".join(
         f'<line x1="{px(d)}" y1="{_SVG_BOTTOM}" x2="{px(d)}" y2="{_SVG_BOTTOM + 5}"/>'
         f'<text x="{px(d)}" y="{_SVG_BOTTOM + 18}" text-anchor="middle">{10 ** d:g}</text>'
@@ -272,7 +281,8 @@ def _svg_log_x_plot(iterations: np.ndarray, values: np.ndarray, title: str) -> s
         f'<polyline fill="none" stroke="#1f77b4" stroke-width="1.5" points="'
         + " ".join(f"{x},{y}" for x, y in points.items())
         + '"/>\n'
-        f'<text x="{mid_x}" y="{_SVG_H - 10}" text-anchor="middle">iteration</text>\n'
+        + marker
+        + f'<text x="{mid_x}" y="{_SVG_H - 10}" text-anchor="middle">iteration</text>\n'
         f'<text x="20" y="{mid_y}" text-anchor="middle" '
         f'transform="rotate(-90 20 {mid_y})">ARE(r)</text>\n'
         f'<text x="{mid_x}" y="22" text-anchor="middle" font-size="14">'

@@ -10,7 +10,6 @@ from .config import (
     EstimateResult,
     EstimatorConfig,
     EstimatorError,
-    default_config,
 )
 from .egle import (
     NewtonResult,
@@ -40,7 +39,6 @@ __all__ = [
     "EstimatorConfig",
     "EstimatorError",
     "NewtonResult",
-    "default_config",
     "estimate",
     "cmtc_estimate",
     "egle_estimate",

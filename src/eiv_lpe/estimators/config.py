@@ -15,7 +15,6 @@ __all__ = [
     "EstimatorError",
     "DivergenceError",
     "METHODS",
-    "default_config",
 ]
 
 METHODS = ("tls", "mtee", "mtc", "cmtc", "egle")
@@ -87,11 +86,6 @@ class EstimatorConfig:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.egle_m_max < 1:
             raise ValueError(f"egle_m_max must be at least 1, got {self.egle_m_max}")
-
-
-def default_config(method: str, **overrides) -> EstimatorConfig:
-    """Convenience constructor with per-method defaults filled in."""
-    return EstimatorConfig(method=method, **overrides)
 
 
 @dataclass

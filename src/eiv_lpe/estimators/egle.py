@@ -25,6 +25,7 @@ from .tls import tls_estimate
 __all__ = [
     "standardized_sse",
     "egle_stationarity",
+    "egle_jacobian",
     "egle_noise_estimates",
     "egle_em_samples",
     "solve_params",
@@ -32,7 +33,6 @@ __all__ = [
     "egle_estimate",
 ]
 
-FD_REL_STEP = 1e-7
 NEWTON_MAX_ITER = 50
 
 
@@ -107,6 +107,30 @@ def egle_stationarity(
     return (problem.x - x_e).T @ alpha
 
 
+def egle_jacobian(
+    problem: EivProblem,
+    w: np.ndarray,
+    y_gmm: GmmModel,
+    x_gmm: GmmModel,
+    labels: np.ndarray,
+) -> np.ndarray:
+    """Exact Jacobian of egle_stationarity with respect to w.
+
+    With v and mu the x-mixture variance and mean of each row's component,
+    gamma_sig the row gains of _group_terms and
+    Z = X - mu 1^T + 2 (v * alpha) w^T, so that d alpha / d w =
+    -diag(1 / gamma_sig) Z,
+
+        J = (sum_i v_i alpha_i^2) I - Z^T diag(1 / gamma_sig) Z,
+
+    which is symmetric because f is a gradient.
+    """
+    alpha, _, gs = _group_terms(problem, w, y_gmm, x_gmm, labels)
+    va = x_gmm.variances[labels] * alpha
+    z = problem.x - x_gmm.means[labels][:, None] + 2.0 * np.outer(va, w)
+    return float(va @ alpha) * np.eye(w.size) - z.T @ (z / gs[:, None])
+
+
 def standardized_sse(
     y_e: np.ndarray,
     x_e: np.ndarray,
@@ -131,10 +155,10 @@ def solve_params(
 ) -> NewtonResult:
     """Newton solve of the stationarity system for fixed mixtures.
 
-    The Jacobian is a forward finite difference with per-component step
-    1e-7 * max(1, |w_j|).  With an equality constraint C^T w = f the step
-    solves the KKT-augmented system, so every iterate after the first lies
-    exactly on the constraint set.
+    Each step uses the closed-form Jacobian of egle_jacobian.  With an
+    equality constraint C^T w = f the step solves the KKT-augmented
+    system, so every iterate after the first lies exactly on the
+    constraint set.
 
     Raises
     ------
@@ -151,14 +175,7 @@ def solve_params(
     iterations = 0
     for it in range(max_iter):
         f0 = egle_stationarity(problem, w, y_gmm, x_gmm, labels)
-        jac = np.empty((p, p))
-        for j in range(p):
-            h = FD_REL_STEP * max(1.0, abs(w[j]))
-            w_h = w.copy()
-            w_h[j] += h
-            jac[:, j] = (
-                egle_stationarity(problem, w_h, y_gmm, x_gmm, labels) - f0
-            ) / h
+        jac = egle_jacobian(problem, w, y_gmm, x_gmm, labels)
         try:
             if constrained:
                 kkt = np.zeros((p + c, p + c))

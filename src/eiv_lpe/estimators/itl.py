@@ -6,9 +6,12 @@ MTEE ascends a Parzen estimate of the error's quadratic information
 potential; MTC ascends the mean correntropy of the error; CMTC adds a linear
 equality constraint through a per-step multiplier update.
 
-All three are fixed-step first-order methods.  When no step size is given, a
-stability-based step is derived from the local curvature at the starting
-point; the divergence guard aborts runs whose iterates blow up.
+All three run one fixed-step first-order ascent loop, each on one exact
+kernel pass that yields the objective and its gradient together (the
+objective and gradient functions are views of that pass).  When no step
+size is given, a stability-based step is derived from the local curvature
+at the starting point; the divergence guard aborts runs whose iterates
+blow up.
 """
 
 from __future__ import annotations
@@ -90,17 +93,7 @@ def _mtee_value_grad(
 
 def mtee_objective(problem: EivProblem, w: np.ndarray, sigma: float) -> float:
     """Parzen quadratic information potential of the total error (O(n^2))."""
-    e = total_error(problem, w)
-    coef = -0.25 / sigma**2
-    ksum = 0.0
-    for lo in range(0, e.size, KERNEL_BLOCK_ROWS):
-        hi = min(lo + KERNEL_BLOCK_ROWS, e.size)
-        d = e[lo:hi, None] - e[None, :]
-        np.multiply(d, d, out=d)
-        d *= coef
-        np.exp(d, out=d)
-        ksum += float(d.sum())
-    return ksum / (2.0 * sigma * np.sqrt(np.pi)) / e.size**2
+    return _mtee_value_grad(problem, np.asarray(w, dtype=float), sigma)[0]
 
 
 def mtee_gradient(problem: EivProblem, w: np.ndarray, sigma: float) -> np.ndarray:
@@ -146,37 +139,6 @@ def _guard(w: np.ndarray, method: str, iteration: int) -> None:
         )
 
 
-def mtee_estimate(problem: EivProblem, config: EstimatorConfig) -> EstimateResult:
-    """Fixed-step ascent of the total error information potential."""
-    start = time.perf_counter()
-    sigma = float(config.kernel_sigma)
-    w = _start(problem, config)
-    mu = config.step if config.step is not None else _auto_step(problem, w, sigma, "mtee")
-    trace: list[tuple[np.ndarray, float]] = []
-    iterations = 0
-    converged = False
-    for r in range(config.max_iters):
-        value, grad = _mtee_value_grad(problem, w, sigma)
-        trace.append((w.copy(), value))
-        w_next = w + mu * grad
-        _guard(w_next, "mtee", r + 1)
-        delta = float(np.abs(w_next - w).max())
-        w = w_next
-        iterations = r + 1
-        if delta <= config.tol:
-            converged = True
-            break
-    trace.append((w.copy(), mtee_objective(problem, w, sigma)))
-    return EstimateResult(
-        method="mtee",
-        w=w,
-        iterations=iterations,
-        converged=converged,
-        trace=trace,
-        elapsed=time.perf_counter() - start,
-    )
-
-
 def _mtc_value_grad(
     problem: EivProblem, w: np.ndarray, sigma: float
 ) -> tuple[float, np.ndarray]:
@@ -205,13 +167,18 @@ def mtc_gradient(problem: EivProblem, w: np.ndarray, sigma: float) -> np.ndarray
     return _mtc_value_grad(problem, np.asarray(w, dtype=float), sigma)[1]
 
 
-def _correntropy_ascent(
-    problem: EivProblem, config: EstimatorConfig, method: str
-) -> EstimateResult:
+def _ascent(problem: EivProblem, config: EstimatorConfig, method: str) -> EstimateResult:
+    """The fixed-step ascent shared by mtee, mtc and cmtc.
+
+    mtee ascends the information potential, mtc and cmtc the correntropy;
+    cmtc follows each step with the multiplier correction that restores
+    the equality constraint.  Stops when the max-norm update is <= tol.
+    """
     start = time.perf_counter()
+    value_grad = _mtee_value_grad if method == "mtee" else _mtc_value_grad
     sigma = float(config.kernel_sigma)
     w = _start(problem, config)
-    eta = config.step if config.step is not None else _auto_step(problem, w, sigma, "mtc")
+    step = config.step if config.step is not None else _auto_step(problem, w, sigma, method)
     constrained = method == "cmtc"
     if constrained:
         if problem.constraint is None:
@@ -224,9 +191,9 @@ def _correntropy_ascent(
     iterations = 0
     converged = False
     for r in range(config.max_iters):
-        value, grad = _mtc_value_grad(problem, w, sigma)
+        value, grad = value_grad(problem, w, sigma)
         trace.append((w.copy(), value))
-        w_next = w + eta * grad
+        w_next = w + step * grad
         if constrained:
             w_next = w_next + c_mat @ (ctc_inv @ (f_vec - c_mat.T @ w_next))
         _guard(w_next, method, r + 1)
@@ -236,7 +203,7 @@ def _correntropy_ascent(
         if delta <= config.tol:
             converged = True
             break
-    trace.append((w.copy(), mtc_objective(problem, w, sigma)))
+    trace.append((w.copy(), value_grad(problem, w, sigma)[0]))
     return EstimateResult(
         method=method,
         w=w,
@@ -247,9 +214,14 @@ def _correntropy_ascent(
     )
 
 
+def mtee_estimate(problem: EivProblem, config: EstimatorConfig) -> EstimateResult:
+    """Fixed-step ascent of the total error information potential."""
+    return _ascent(problem, config, "mtee")
+
+
 def mtc_estimate(problem: EivProblem, config: EstimatorConfig) -> EstimateResult:
     """Fixed-step ascent of the total correntropy objective."""
-    return _correntropy_ascent(problem, config, "mtc")
+    return _ascent(problem, config, "mtc")
 
 
 def cmtc_estimate(problem: EivProblem, config: EstimatorConfig) -> EstimateResult:
@@ -262,4 +234,4 @@ def cmtc_estimate(problem: EivProblem, config: EstimatorConfig) -> EstimateResul
 
     which lands every iterate exactly on the constraint set C^T w = f.
     """
-    return _correntropy_ascent(problem, config, "cmtc")
+    return _ascent(problem, config, "cmtc")

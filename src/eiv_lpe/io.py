@@ -8,6 +8,7 @@ a write/read round trip is exact.  Config files are JSON with a versioned
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 from typing import Any
 
@@ -65,16 +66,23 @@ def read_records_csv(path: str | Path) -> np.recarray:
     Raises
     ------
     ConfigError
-        If the file cannot be read, or on a missing or malformed header,
-        short rows or unparseable cells.
+        If the file cannot be read, or on a missing or malformed header, no
+        records, short rows or unparseable cells.
     """
     try:
         with open(path) as fh:
             header = fh.readline().rstrip("\n").split(",")
             if header != PMU_CSV_HEADER:
                 raise ConfigError(f"bad PMU CSV header in {path}: {header}")
+            first = fh.readline()
+            while first.isspace():  # loadtxt skips blank lines as well
+                first = fh.readline()
+            if not first:
+                raise ConfigError(f"no records in {path}")
             try:
-                values = np.loadtxt(fh, dtype=_CSV_DTYPE, delimiter=",", ndmin=1)
+                values = np.loadtxt(
+                    chain([first], fh), dtype=_CSV_DTYPE, delimiter=",", ndmin=1
+                )
             except ValueError as exc:
                 raise ConfigError(f"bad PMU CSV row in {path}: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:

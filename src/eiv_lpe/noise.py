@@ -25,7 +25,6 @@ __all__ = [
     "sample_noise",
     "apply_noise",
     "em_fit",
-    "gmm_em_fit",
     "gmm_bic",
 ]
 
@@ -305,14 +304,6 @@ def em_fit(
         converged,
         floored,
     )
-
-
-def gmm_em_fit(
-    samples: np.ndarray, m: int, seed: int = 0
-) -> tuple[GmmModel, NoiseAssignment, float]:
-    """EM fit returning (model, assignment, final log likelihood)."""
-    fit = em_fit(samples, m, seed)
-    return fit.model, fit.assignment, fit.loglik
 
 
 def gmm_bic(loglik: float, m: int, n_samples: int) -> float:

@@ -2,11 +2,13 @@
 
 import csv
 import json
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+from eiv_lpe import bench
 from eiv_lpe.bench import BenchConfig, median_iqr, rows_from_csv, run_bench
 from eiv_lpe.cli import main
 from eiv_lpe.estimators import EstimatorConfig
@@ -109,9 +111,43 @@ def test_bench_plots_are_valid_and_reproducible(tmp_path):
         texts = [t.text for t in root.iter(f"{SVG_NS}text")]
         assert "iteration" in texts and "ARE(r)" in texts
         assert f"s1 / {name[3:-4]}" in texts
-    # the TLS trace starts at w0 = 0 (ARE undefined): one finite point
+    # the TLS trace starts at w0 = 0 (ARE undefined): one finite point,
+    # which a circle marks because a one-point polyline draws nothing
     assert n_points["s1_tls.svg"] == 1 and n_points["s1_cmtc.svg"] > 1
+    tls_root = ET.fromstring(first["s1_tls.svg"])
+    (circle,) = tls_root.findall(f".//{SVG_NS}circle")
+    (tls_line,) = tls_root.findall(f".//{SVG_NS}polyline")
+    assert tls_line.get("points") == f"{circle.get('cx')},{circle.get('cy')}"
+    assert ET.fromstring(first["s1_cmtc.svg"]).findall(f".//{SVG_NS}circle") == []
     assert run(tmp_path / "b") == first
+
+
+def test_unexpected_cell_error_does_not_abort_bench(tmp_path, monkeypatch):
+    # an exception other than EstimatorError / ValueError fails its cell only
+    real_run_scenario = bench.run_scenario
+
+    def run_scenario(scenario, configs, seed=None):
+        if configs[0].method == "cmtc":
+            raise RuntimeError("worker state lost")
+        return real_run_scenario(scenario, configs, seed=seed)
+
+    monkeypatch.setattr(bench, "run_scenario", run_scenario)
+    out = tmp_path / "bench"
+    report = run_bench(
+        BenchConfig(
+            scenarios=[_tiny_scenario()],
+            estimators=[EstimatorConfig("tls"), EstimatorConfig("cmtc", max_iters=300)],
+            seeds=[0],
+            output_dir=out,
+        )
+    )
+    assert report.failures == 1
+    rows = rows_from_csv(out / "runs.csv")
+    assert [(r.method, r.error) for r in rows] == [
+        ("tls", ""), ("cmtc", "RuntimeError: worker state lost")
+    ]
+    assert np.isfinite(rows[0].are_r)
+    assert json.loads((out / "bench_manifest.json").read_text())["failures"] == 1
 
 
 def test_summary_recomputable_from_runs(tmp_path):
@@ -260,14 +296,25 @@ def test_cli_estimate_missing_data_is_config_error(tmp_path):
     assert rc == 2
 
 
-@pytest.mark.parametrize("bad_row", ["3,1.0,0.5", "3,1.0,0.5,0.9,x,0.1,0.2,0.3,0.4"])
+@pytest.mark.parametrize(
+    "bad_row",
+    ["3,1.0,0.5", "3,1.0,0.5,0.9,x,0.1,0.2,0.3,0.4", pytest.param(None, id="header-only")],
+)
 def test_cli_estimate_bad_csv_row_is_config_error(tmp_path, bad_row):
-    # a short row and an unparseable cell after otherwise valid records
+    # a short row and an unparseable cell after otherwise valid records, and
+    # a file that keeps its header but has no record at all
     data, est_cfg = _clean_csv_and_tls_config(tmp_path)
-    with open(data, "a", newline="") as fh:
-        fh.write(bad_row + "\r\n")
-    rc = main(["estimate", str(data), "--config", str(est_cfg), "--out", str(tmp_path)])
+    if bad_row is None:
+        header = data.read_text().splitlines()[0]
+        data.write_text(header + "\r\n")
+    else:
+        with open(data, "a", newline="") as fh:
+            fh.write(bad_row + "\r\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["estimate", str(data), "--config", str(est_cfg), "--out", str(tmp_path)])
     assert rc == 2
+    assert [str(w.message) for w in caught] == []
 
 
 def test_cli_bench_and_report(tmp_path, monkeypatch):

@@ -4,17 +4,28 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eiv_lpe.estimators import EstimatorConfig, EstimatorError, egle, egle_estimate, tls_estimate
+from eiv_lpe.estimators import (
+    EstimatorConfig,
+    EstimatorError,
+    cmtc_estimate,
+    egle,
+    egle_estimate,
+    tls_estimate,
+)
 from eiv_lpe.estimators.egle import (
     egle_em_samples,
+    egle_jacobian,
     egle_noise_estimates,
     egle_stationarity,
     solve_params,
     standardized_sse,
 )
-from eiv_lpe.line_model import EivProblem
-from eiv_lpe.noise import GmmModel
+from eiv_lpe.line_model import EivProblem, LineParameters, build_regression
+from eiv_lpe.noise import GaussianNoise, GmmModel, apply_noise
+from eiv_lpe.scenario import LoadRampProfile, Scenario, generate_true_records
 
 
 def _eiv_instance(rng, n=60, p=3, noise=0.02, constrained=False):
@@ -61,6 +72,52 @@ def test_standardized_sse_hand_value():
     labels = np.zeros(2, dtype=int)
     # y terms: (0, 1); x terms: (0, 2) -> 0.5 * (1 + 4)
     assert abs(standardized_sse(y_e, x_e, gmm, gmm, labels) - 2.5) < 1e-14
+
+
+def _random_gmm(rng, m, scale):
+    return GmmModel(
+        rng.dirichlet(np.ones(m)),
+        np.sort(rng.normal(0.0, scale, m)),
+        rng.uniform(0.2, 2.0, m) * scale**2,
+    )
+
+
+def _fd_jacobian(problem, w, y_gmm, x_gmm, labels, central):
+    """Finite-difference Jacobian of egle_stationarity, column by column.
+
+    Forward differences step by 1e-7 * max(1, |w_j|), central differences
+    by 1e-5 * max(1, |w_j|).
+    """
+    def f(v):
+        return egle_stationarity(problem, v, y_gmm, x_gmm, labels)
+
+    jac = np.empty((w.size, w.size))
+    for j in range(w.size):
+        h = np.zeros(w.size)
+        h[j] = (1e-5 if central else 1e-7) * max(1.0, abs(w[j]))
+        if central:
+            jac[:, j] = (f(w + h) - f(w - h)) / (2.0 * h[j])
+        else:
+            jac[:, j] = (f(w + h) - f(w)) / h[j]
+    return jac
+
+
+def test_jacobian_matches_finite_differences_and_is_symmetric():
+    rng = np.random.default_rng(7)
+    for _ in range(30):
+        m = int(rng.integers(1, 4))
+        p = int(rng.integers(2, 5))
+        problem, w_true = _eiv_instance(rng, n=int(rng.integers(10, 80)), p=p, noise=0.05)
+        w = w_true + 0.1 * rng.normal(size=p)
+        y_gmm, x_gmm = _random_gmm(rng, m, 0.05), _random_gmm(rng, m, 0.05)
+        labels = rng.integers(0, m, size=problem.y.size)
+        jac = egle_jacobian(problem, w, y_gmm, x_gmm, labels)
+        scale = np.abs(jac).max()
+        assert np.abs(jac - jac.T).max() <= 1e-12 * scale
+        central = _fd_jacobian(problem, w, y_gmm, x_gmm, labels, central=True)
+        assert np.abs(jac - central).max() <= 1e-6 * scale
+        forward = _fd_jacobian(problem, w, y_gmm, x_gmm, labels, central=False)
+        assert np.abs(jac - forward).max() <= 1e-4 * scale
 
 
 def test_solve_params_with_zero_mean_gaussian_matches_tls():
@@ -156,3 +213,35 @@ def test_egle_all_candidates_failing_raises():
         warnings.simplefilter("ignore", UserWarning)
         with pytest.raises(EstimatorError, match="every m"):
             egle_estimate(problem, EstimatorConfig("egle", w0=np.array([0.1, -0.2])))
+
+
+def _tied_window(n_records, seed):
+    scenario = Scenario(
+        "w", LineParameters(r=0.00269, x=0.0302, b=0.38),
+        LoadRampProfile(n_records=n_records, vk_mag=(0.95, 1.08), angle_spread=(0.3, 0.6)),
+        GaussianNoise(0.0, 0.005), seed=seed,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # short windows may be ill conditioned
+        clean = generate_true_records(scenario)
+    return build_regression(apply_noise(clean, scenario.noise, seed), with_constraint=True)
+
+
+@pytest.mark.parametrize("method", ["cmtc", "egle"])
+@settings(max_examples=15, deadline=None)
+@given(n_records=st.integers(3, 25), seed=st.integers(0, 2**32 - 1))
+def test_constrained_iterates_satisfy_y1_plus_y3_zero(method, n_records, seed):
+    # every iterate after the start lies on C^T w = y1 + y3 = 0, whether it
+    # comes from the multiplier correction (cmtc) or a KKT Newton step (egle)
+    problem = _tied_window(n_records, seed)
+    w0 = tls_estimate(problem).w
+    if method == "cmtc":
+        run, config = cmtc_estimate, EstimatorConfig("cmtc", w0=w0, max_iters=200)
+    else:
+        run, config = egle_estimate, EstimatorConfig("egle", w0=w0, max_iters=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # EM variance floor
+        res = run(problem, config)
+    assert len(res.trace) > 1
+    for w, _ in res.trace[1:]:
+        assert abs(w[0] + w[2]) <= 1e-10

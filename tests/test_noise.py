@@ -13,7 +13,6 @@ from eiv_lpe.noise import (
     apply_noise,
     em_fit,
     gmm_bic,
-    gmm_em_fit,
     sample_noise,
 )
 
@@ -172,14 +171,6 @@ def test_em_label_tie_break_lowest_index():
     fit = em_fit(np.array([-1.0, 1.0, -0.5, 0.5]), 2, init=init)
     assert np.allclose(fit.assignment.responsibilities, 0.5, atol=1e-12)
     assert np.array_equal(fit.assignment.labels, np.zeros(4, dtype=int))
-
-
-def test_gmm_em_fit_wrapper():
-    x = sample_noise(GaussianNoise(0.0, 1.0), 200, seed=6)
-    model, assignment, loglik = gmm_em_fit(x, 1)
-    assert model.m == 1
-    assert assignment.labels.shape == (200,)
-    assert np.isfinite(loglik)
 
 
 def test_gmm_bic_hand_value():
