@@ -18,15 +18,17 @@ from __future__ import annotations
 
 import csv
 import json
+import platform
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from xml.sax.saxutils import escape as xml_escape
 
 import numpy as np
 
-from .estimators import EstimatorConfig
+from .estimators import EstimatorConfig, Trace
+from .io import SCHEMA_VERSION, estimator_to_dict, scenario_to_dict
 from .line_model import admittance_to_params, params_to_admittance
 from .scenario import Scenario, run_scenario
 
@@ -87,7 +89,7 @@ class BenchReport:
         return cells
 
 
-def _run_cell(args) -> tuple[RunRow, list[tuple[np.ndarray, float]] | None]:
+def _run_cell(args) -> tuple[RunRow, Trace | None]:
     scenario, config, seed = args
     row = RunRow(scenario.label, config.method, seed)
     try:
@@ -107,6 +109,19 @@ def _run_cell(args) -> tuple[RunRow, list[tuple[np.ndarray, float]] | None]:
     return row, res.trace
 
 
+def _pool_result(cell, future: Future) -> tuple[RunRow, Trace | None]:
+    """The cell's outcome, or a failed row if the pool could not deliver one.
+
+    A worker killed outright breaks the pool: its cell and every cell not
+    yet run then fail with BrokenProcessPool instead of aborting the grid.
+    """
+    try:
+        return future.result()
+    except Exception as exc:
+        scenario, est, seed = cell
+        return RunRow(scenario.label, est.method, seed, error=f"{type(exc).__name__}: {exc}"), None
+
+
 def run_bench(config: BenchConfig) -> BenchReport:
     """Evaluate the full grid; deterministic ordering regardless of jobs."""
     cells = [
@@ -117,7 +132,8 @@ def run_bench(config: BenchConfig) -> BenchReport:
     ]
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(_run_cell, cells))
+            futures = [pool.submit(_run_cell, cell) for cell in cells]
+            results = [_pool_result(cell, fut) for cell, fut in zip(cells, futures)]
     else:
         results = [_run_cell(c) for c in cells]
     rows = [r for r, _ in results]
@@ -221,9 +237,7 @@ def _write_tables(report: BenchReport, scenarios: list[Scenario], out: Path) -> 
                 writer.writerow([name, true_s] + [f"{med[m][i]:.6g}" for m in methods])
 
 
-def _trace_are_curve(
-    trace: list[tuple[np.ndarray, float]], scenario: Scenario
-) -> np.ndarray:
+def _trace_are_curve(trace: Trace, scenario: Scenario) -> np.ndarray:
     true_r = scenario.line.r
     out = np.full(len(trace), np.nan)
     for i, (w, _) in enumerate(trace):
@@ -292,7 +306,7 @@ def _svg_log_x_plot(iterations: np.ndarray, values: np.ndarray, title: str) -> s
 
 
 def _write_plots(
-    traces: dict[tuple[str, str, int], list],
+    traces: dict[tuple[str, str, int], Trace],
     scenarios: list[Scenario],
     out: Path,
 ) -> None:
@@ -331,7 +345,7 @@ def _write_plots(
 def write_report(
     report: BenchReport,
     config: BenchConfig,
-    traces: dict[tuple[str, str, int], list] | None = None,
+    traces: dict[tuple[str, str, int], Trace] | None = None,
 ) -> None:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -344,6 +358,14 @@ def write_report(
         "scenarios": [s.label for s in config.scenarios],
         "estimators": [e.method for e in config.estimators],
         "failures": report.failures,
+        # the run's inputs in the bench config file format, and its environment
+        "config": {
+            "schema": SCHEMA_VERSION,
+            "scenarios": [scenario_to_dict(s) for s in config.scenarios],
+            "estimators": [estimator_to_dict(e) for e in config.estimators],
+            "seeds": config.seeds,
+        },
+        "environment": {"python": platform.python_version(), "numpy": np.__version__},
     }
     with open(out / "bench_manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)

@@ -10,6 +10,7 @@ from .config import (
     EstimateResult,
     EstimatorConfig,
     EstimatorError,
+    Trace,
 )
 from .egle import (
     NewtonResult,
@@ -39,6 +40,7 @@ __all__ = [
     "EstimatorConfig",
     "EstimatorError",
     "NewtonResult",
+    "Trace",
     "estimate",
     "cmtc_estimate",
     "egle_estimate",

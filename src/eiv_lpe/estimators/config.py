@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -12,6 +13,7 @@ __all__ = [
     "EstimatorConfig",
     "EstimateResult",
     "EgleMeta",
+    "Trace",
     "EstimatorError",
     "DivergenceError",
     "METHODS",
@@ -100,18 +102,60 @@ class EgleMeta:
     converged_by_m: dict[int, bool]
 
 
+@dataclass(frozen=True, eq=False)
+class Trace(Sequence):
+    """The iterates of one estimator run, as a sequence of (w, objective) pairs.
+
+    The pairs are stored as one (k, p) array of iterates, `w`, and one (k,)
+    array of objective values, `objective` (built from lists of either on
+    construction).  `trace[i]` is the pair (w[i], float(objective[i])),
+    with w[i] a row view; a slice is a Trace.
+    """
+
+    w: np.ndarray
+    objective: np.ndarray
+
+    def __post_init__(self) -> None:
+        w = np.asarray(self.w, dtype=float)
+        objective = np.asarray(self.objective, dtype=float)
+        if w.ndim != 2 or objective.shape != (w.shape[0],):
+            raise ValueError(
+                f"trace needs (k, p) iterates and k objectives, got {w.shape} and {objective.shape}"
+            )
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "objective", objective)
+
+    def __len__(self) -> int:
+        return self.objective.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Trace(self.w[index], self.objective[index])
+        return self.w[index], float(self.objective[index])
+
+    def __iter__(self):
+        return zip(self.w, self.objective.tolist())
+
+
+def _empty_trace() -> Trace:
+    return Trace(np.empty((0, 0)), np.empty(0))
+
+
 @dataclass
 class EstimateResult:
     """Outcome of a single estimator run.
 
     `trace` holds one (w, objective) pair per iterate including the starting
-    point, so len(trace) == iterations + 1.
+    point, so len(trace) == iterations + 1; for egle an iterate is one outer
+    iteration of the selected m and its objective the standardized SSE.  It
+    is a `Trace`: the iterates as one (k, p) array and the objectives as one
+    (k,) array, indexed and iterated like a list of pairs.
     """
 
     method: str
     w: np.ndarray
     iterations: int
     converged: bool
-    trace: list[tuple[np.ndarray, float]] = field(default_factory=list)
+    trace: Trace = field(default_factory=_empty_trace)
     elapsed: float = 0.0
     egle_meta: EgleMeta | None = None

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..line_model import EivProblem
 from ..noise import GmmModel, em_fit, gmm_bic
-from .config import EgleMeta, EstimateResult, EstimatorConfig, EstimatorError
+from .config import EgleMeta, EstimateResult, EstimatorConfig, EstimatorError, Trace
 from .tls import tls_estimate
 
 __all__ = [
@@ -252,7 +252,9 @@ def egle_estimate(problem: EivProblem, config: EstimatorConfig) -> EstimateResul
     runs: dict[int, dict] = {}
     for m in range(1, config.egle_m_max + 1):
         w = w0.copy()
-        trace: list[tuple[np.ndarray, float]] = []
+        # iterates are never updated in place, so the trace keeps references
+        ws: list[np.ndarray] = []
+        sse: list[float] = []
         outer = 0
         converged = False
         failure: str | None = None
@@ -271,13 +273,12 @@ def egle_estimate(problem: EivProblem, config: EstimatorConfig) -> EstimateResul
                     init=x_fit.model if x_fit is not None else None,
                 )
                 labels = y_fit.assignment.labels
-                if not trace:
+                if not ws:
                     y_e, x_e = egle_noise_estimates(
                         problem, w, y_fit.model, x_fit.model, labels
                     )
-                    trace.append(
-                        (w.copy(), standardized_sse(y_e, x_e, y_fit.model, x_fit.model, labels))
-                    )
+                    ws.append(w)
+                    sse.append(standardized_sse(y_e, x_e, y_fit.model, x_fit.model, labels))
                 res = solve_params(
                     problem, y_fit.model, x_fit.model, labels, w,
                     tol=config.egle_inner_tol,
@@ -300,9 +301,8 @@ def egle_estimate(problem: EivProblem, config: EstimatorConfig) -> EstimateResul
             deltas.append(delta)
             w = w_next
             y_e, x_e = egle_noise_estimates(problem, w, y_fit.model, x_fit.model, labels)
-            trace.append(
-                (w.copy(), standardized_sse(y_e, x_e, y_fit.model, x_fit.model, labels))
-            )
+            ws.append(w)
+            sse.append(standardized_sse(y_e, x_e, y_fit.model, x_fit.model, labels))
             if delta <= config.egle_outer_tol:
                 converged = True
                 break
@@ -312,7 +312,8 @@ def egle_estimate(problem: EivProblem, config: EstimatorConfig) -> EstimateResul
             bic = np.inf
         runs[m] = {
             "w": w,
-            "trace": trace,
+            "ws": ws,
+            "sse": sse,
             "outer": outer,
             "converged": converged,
             "bic": float(bic),
@@ -342,7 +343,7 @@ def egle_estimate(problem: EivProblem, config: EstimatorConfig) -> EstimateResul
         w=win["w"],
         iterations=win["outer"],
         converged=win["converged"],
-        trace=win["trace"],
+        trace=Trace(win["ws"], win["sse"]),
         elapsed=time.perf_counter() - start,
         egle_meta=meta,
     )

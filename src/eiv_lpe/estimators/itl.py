@@ -26,6 +26,7 @@ from .config import (
     DivergenceError,
     EstimateResult,
     EstimatorConfig,
+    Trace,
 )
 
 __all__ = [
@@ -187,12 +188,15 @@ def _ascent(problem: EivProblem, config: EstimatorConfig, method: str) -> Estima
         # Oblique projector pieces for the multiplier update: the step
         # eta * C * lambda restores C^T w = f exactly each iteration.
         ctc_inv = np.linalg.inv(c_mat.T @ c_mat)
-    trace: list[tuple[np.ndarray, float]] = []
+    # iterates are never updated in place, so the trace keeps references
+    ws: list[np.ndarray] = []
+    values: list[float] = []
     iterations = 0
     converged = False
     for r in range(config.max_iters):
         value, grad = value_grad(problem, w, sigma)
-        trace.append((w.copy(), value))
+        ws.append(w)
+        values.append(value)
         w_next = w + step * grad
         if constrained:
             w_next = w_next + c_mat @ (ctc_inv @ (f_vec - c_mat.T @ w_next))
@@ -203,13 +207,14 @@ def _ascent(problem: EivProblem, config: EstimatorConfig, method: str) -> Estima
         if delta <= config.tol:
             converged = True
             break
-    trace.append((w.copy(), value_grad(problem, w, sigma)[0]))
+    ws.append(w)
+    values.append(value_grad(problem, w, sigma)[0])
     return EstimateResult(
         method=method,
         w=w,
         iterations=iterations,
         converged=converged,
-        trace=trace,
+        trace=Trace(ws, values),
         elapsed=time.perf_counter() - start,
     )
 

@@ -7,7 +7,7 @@ import time
 import numpy as np
 
 from ..line_model import EivProblem
-from .config import EstimateResult, EstimatorConfig, EstimatorError
+from .config import EstimateResult, EstimatorConfig, EstimatorError, Trace
 
 __all__ = ["tls_estimate", "tls_objective"]
 
@@ -41,10 +41,7 @@ def tls_estimate(problem: EivProblem, config: EstimatorConfig | None = None) -> 
         )
     w = -v[:p] / v[p]
     w0 = config.w0 if config is not None and config.w0 is not None else np.zeros(p)
-    trace = [
-        (w0.copy(), tls_objective(problem, w0)),
-        (w.copy(), tls_objective(problem, w)),
-    ]
+    trace = Trace([w0, w], [tls_objective(problem, w0), tls_objective(problem, w)])
     return EstimateResult(
         method="tls",
         w=w,

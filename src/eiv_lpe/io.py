@@ -29,6 +29,7 @@ __all__ = [
     "noise_from_dict",
     "scenario_to_dict",
     "scenario_from_dict",
+    "estimator_to_dict",
     "estimator_from_dict",
     "load_bench_config",
 ]
@@ -180,6 +181,14 @@ _ESTIMATOR_KEYS = {
     "method", "step", "kernel_sigma", "max_iters", "tol", "seed",
     "egle_m_max", "egle_inner_tol", "egle_outer_tol",
 }
+
+
+def estimator_to_dict(e: EstimatorConfig) -> dict:
+    """Every knob of an estimator config; w0 only when one is set."""
+    d = {key: getattr(e, key) for key in sorted(_ESTIMATOR_KEYS)}
+    if e.w0 is not None:
+        d["w0"] = e.w0.tolist()
+    return d
 
 
 def estimator_from_dict(d: dict) -> EstimatorConfig:

@@ -74,13 +74,7 @@ class GmmModel:
     def log_density(self, x: np.ndarray) -> np.ndarray:
         """Pointwise log density of the mixture."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        log_comp = (
-            np.log(self.weights)
-            - 0.5 * np.log(2.0 * np.pi * self.variances)
-            - 0.5 * (x[:, None] - self.means) ** 2 / self.variances
-        )
-        top = log_comp.max(axis=1, keepdims=True)
-        return (top + np.log(np.exp(log_comp - top).sum(axis=1, keepdims=True)))[:, 0]
+        return _log_resp(x, self.weights, self.means, self.variances)[1]
 
 
 @dataclass(frozen=True)
@@ -115,8 +109,9 @@ NoiseModel = GaussianNoise | LaplacianNoise | GmmNoise
 class NoiseAssignment:
     """Per-sample hard labels plus soft responsibilities from an EM fit.
 
-    labels[i] is the argmax of responsibilities[i] with ties resolved to the
-    lowest component index.
+    responsibilities is (n, m), a transposed view of the fit's (m, n)
+    array.  labels[i] is the argmax of responsibilities[i] with ties
+    resolved to the lowest component index.
     """
 
     labels: np.ndarray
@@ -174,15 +169,37 @@ def apply_noise(records: np.recarray, model: NoiseModel, seed: int) -> np.recarr
 
 
 def _log_resp(x: np.ndarray, w: np.ndarray, mu: np.ndarray, var: np.ndarray):
-    """Log responsibilities and per-sample log likelihood."""
-    log_comp = (
-        np.log(w)
-        - 0.5 * np.log(2.0 * np.pi * var)
-        - 0.5 * (x[:, None] - mu) ** 2 / var
-    )
-    top = log_comp.max(axis=1, keepdims=True)
-    log_norm = top + np.log(np.exp(log_comp - top).sum(axis=1, keepdims=True))
-    return log_comp - log_norm, log_norm[:, 0]
+    """(m, n) log responsibilities and the (n,) per-sample log likelihood.
+
+    Components lie along axis 0, so every per-sample reduction runs over
+    the m rows; the operations and their order are those of the (n, m)
+    layout, so the results are the same bits, only faster.
+    """
+    log_comp = x - mu[:, None]
+    log_comp *= log_comp
+    log_comp *= 0.5
+    log_comp /= var[:, None]
+    np.subtract((np.log(w) - 0.5 * np.log(2.0 * np.pi * var))[:, None], log_comp, out=log_comp)
+    top = log_comp.max(axis=0)
+    shifted = log_comp - top
+    np.exp(shifted, out=shifted)
+    log_norm = shifted.sum(axis=0)
+    np.log(log_norm, out=log_norm)
+    log_norm += top
+    log_comp -= log_norm
+    return log_comp, log_norm
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Sum each row of `a` left to right, starting from 0.
+
+    That is the order in which ``.sum(axis=0)`` reduces a C-ordered (n, m)
+    array, one sample after another.  The pairwise ``a.sum(axis=1)`` and
+    ``resp @ x`` round differently, and EM's hard labels and iteration
+    counts follow those bits.  Adding 0.0 turns an all-(-0.0) row into
+    0.0, as the reduction from 0 does.
+    """
+    return np.cumsum(a, axis=1)[:, -1] + 0.0
 
 
 def _em_once(
@@ -193,10 +210,10 @@ def _em_once(
     tol: float,
     max_iter: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[float], bool, bool]:
+    """One EM run from (w, mu, var); resp is (m, n), from the final E-step."""
     n = x.size
     history: list[float] = []
     floored = False
-    resp = np.empty((n, w.size))
     converged = False
     for _ in range(max_iter):
         log_resp, log_pdf = _log_resp(x, w, mu, var)
@@ -207,20 +224,21 @@ def _em_once(
             converged = True
             break
         history.append(loglik)
-        resp = np.exp(log_resp)
-        nk = resp.sum(axis=0)
-        nk = np.maximum(nk, 1e-300)
+        resp = np.exp(log_resp, out=log_resp)
+        nk = np.maximum(_row_sums(resp), 1e-300)
         w = nk / n
-        mu = (resp * x[:, None]).sum(axis=0) / nk
-        var = (resp * (x[:, None] - mu) ** 2).sum(axis=0) / nk
+        mu = _row_sums(resp * x) / nk
+        dev = x - mu[:, None]
+        dev *= dev
+        dev *= resp
+        var = _row_sums(dev) / nk
         if (var < COLLAPSE_FLAG).any():
             floored = True
         var = np.maximum(var, VARIANCE_FLOOR)
     else:
         log_resp, log_pdf = _log_resp(x, w, mu, var)
         history.append(float(log_pdf.sum()))
-    resp = np.exp(_log_resp(x, w, mu, var)[0])
-    return w, mu, var, resp, history, converged, floored
+    return w, mu, var, np.exp(log_resp, out=log_resp), history, converged, floored
 
 
 def em_fit(
@@ -290,14 +308,14 @@ def em_fit(
         w, mu, var, resp, history, converged, floored = best
 
     order = np.argsort(mu)
-    w, mu, var, resp = w[order], mu[order], var[order], resp[:, order]
+    w, mu, var, resp = w[order], mu[order], var[order], resp[order]
     if floored:
         warnings.warn("GMM component variance collapsed; floored at 1e-12")
     model = GmmModel(w / w.sum(), mu, var)
-    labels = resp.argmax(axis=1)
+    labels = resp.argmax(axis=0)
     return EmFit(
         model,
-        NoiseAssignment(labels, resp),
+        NoiseAssignment(labels, resp.T),
         history[-1],
         history,
         len(history),

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import os
+import platform
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -12,6 +14,7 @@ from eiv_lpe import bench
 from eiv_lpe.bench import BenchConfig, median_iqr, rows_from_csv, run_bench
 from eiv_lpe.cli import main
 from eiv_lpe.estimators import EstimatorConfig
+from eiv_lpe.io import load_bench_config
 from eiv_lpe.line_model import LineParameters
 from eiv_lpe.noise import GaussianNoise
 from eiv_lpe.scenario import LoadRampProfile, Scenario
@@ -148,6 +151,69 @@ def test_unexpected_cell_error_does_not_abort_bench(tmp_path, monkeypatch):
     ]
     assert np.isfinite(rows[0].are_r)
     assert json.loads((out / "bench_manifest.json").read_text())["failures"] == 1
+
+
+class _WorkerKillingProfile(LoadRampProfile):
+    """A profile whose voltages end the process that asks for them."""
+
+    def voltages(self):
+        os._exit(3)
+
+
+def test_killed_worker_fails_its_cells_not_the_bench(tmp_path):
+    # a worker that dies outright breaks the pool; the grid still completes
+    out = tmp_path / "bench"
+    doomed = Scenario(
+        "doomed", STOCK, _WorkerKillingProfile(n_records=12, angle_spread=(0.05, 0.3)),
+        GaussianNoise(0.0, 0.002),
+    )
+    report = run_bench(
+        BenchConfig(
+            scenarios=[_tiny_scenario(), doomed],
+            estimators=[EstimatorConfig("tls")],
+            seeds=[0, 1],
+            output_dir=out,
+            jobs=2,
+            plots=False,
+        )
+    )
+    rows = rows_from_csv(out / "runs.csv")
+    assert [(r.scenario, r.seed) for r in rows] == [("s1", 0), ("s1", 1), ("doomed", 0), ("doomed", 1)]
+    # the killed cells, and any cell the broken pool had not run, fail
+    for row in rows:
+        assert row.error == "" or row.error.startswith("BrokenProcessPool: ")
+    assert all(r.error for r in rows if r.scenario == "doomed")
+    assert report.failures == sum(1 for r in rows if r.error) >= 2
+    assert json.loads((out / "bench_manifest.json").read_text())["failures"] == report.failures
+
+
+def test_bench_manifest_echoes_config_and_environment(tmp_path):
+    cfg = _bench_config_json(tmp_path)
+    out = tmp_path / "bench"
+    assert main(["bench", "--config", str(cfg), "--out", str(out), "--no-plots"]) == 0
+    text = (out / "bench_manifest.json").read_text()
+    manifest = json.loads(text)
+    assert json.loads(json.dumps(manifest)) == manifest
+    assert manifest["schema"] == 1
+    assert manifest["seeds"] == [0, 1]
+    assert manifest["scenarios"] == ["s1"]
+    assert manifest["estimators"] == ["tls", "cmtc"]
+    assert manifest["failures"] == 0
+    assert manifest["environment"] == {
+        "python": platform.python_version(), "numpy": np.__version__
+    }
+    # the echo is a bench config that loads back to the same run
+    scenario = manifest["config"]["scenarios"][0]
+    assert scenario["line"] == {"r": 0.00269, "x": 0.0302, "b": 0.38}
+    assert scenario["profile"]["n_records"] == 12
+    assert scenario["noise"] == {"type": "gaussian", "mu": 0.0, "sigma": 0.002}
+    assert manifest["config"]["estimators"][1]["max_iters"] == 300
+    assert manifest["config"]["estimators"][1]["kernel_sigma"] == 0.05
+    echo = tmp_path / "echo.json"
+    echo.write_text(json.dumps(manifest["config"]))
+    loaded, original = load_bench_config(echo), load_bench_config(cfg)
+    for key in ("scenarios", "estimators", "seeds"):
+        assert loaded[key] == original[key]
 
 
 def test_summary_recomputable_from_runs(tmp_path):

@@ -1,8 +1,14 @@
 """Noise models, seeded sampling, record corruption and GMM/EM fitting."""
 
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from eiv_lpe import noise
 from eiv_lpe.line_model import PMU_DTYPE
 from eiv_lpe.noise import (
     EmFit,
@@ -179,3 +185,137 @@ def test_gmm_bic_hand_value():
     assert abs(gmm_bic(3.5, 1, 50) - (2 * np.log(50) - 7.0)) < 1e-12
     with pytest.raises(ValueError):
         gmm_bic(0.0, 1, 0)
+
+
+# --- oracle: the EM kernel in the (n, m) layout -------------------------------
+# em_fit lays responsibilities out as (m, n) and sums the M-step rows left to
+# right.  The (n, m) kernel below is the reference it must match bit for bit:
+# a different summation order (pairwise sums, a matrix product) moves the
+# hard labels and iteration counts that egle's results follow.
+
+
+def _reference_log_resp(x, w, mu, var):
+    log_comp = (
+        np.log(w)
+        - 0.5 * np.log(2.0 * np.pi * var)
+        - 0.5 * (x[:, None] - mu) ** 2 / var
+    )
+    top = log_comp.max(axis=1, keepdims=True)
+    log_norm = top + np.log(np.exp(log_comp - top).sum(axis=1, keepdims=True))
+    return log_comp - log_norm, log_norm[:, 0]
+
+
+def _reference_em_once(x, w, mu, var, tol, max_iter):
+    n = x.size
+    history = []
+    floored = False
+    converged = False
+    for _ in range(max_iter):
+        log_resp, log_pdf = _reference_log_resp(x, w, mu, var)
+        loglik = float(log_pdf.sum())
+        if history and loglik - history[-1] < tol * max(1.0, abs(loglik)):
+            history.append(loglik)
+            converged = True
+            break
+        history.append(loglik)
+        resp = np.exp(log_resp)
+        nk = resp.sum(axis=0)
+        nk = np.maximum(nk, 1e-300)
+        w = nk / n
+        mu = (resp * x[:, None]).sum(axis=0) / nk
+        var = (resp * (x[:, None] - mu) ** 2).sum(axis=0) / nk
+        if (var < noise.COLLAPSE_FLAG).any():
+            floored = True
+        var = np.maximum(var, noise.VARIANCE_FLOOR)
+    else:
+        log_resp, log_pdf = _reference_log_resp(x, w, mu, var)
+        history.append(float(log_pdf.sum()))
+    resp = np.exp(_reference_log_resp(x, w, mu, var)[0])
+    # em_fit takes the responsibilities as (m, n)
+    return w, mu, var, resp.T, history, converged, floored
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _oracle_samples(kind: str, n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3, 0)
+    if kind == "gaussian":
+        return rng.normal(0.0, scale, n)
+    if kind == "laplacian":
+        return rng.laplace(0.0, scale, n)
+    # egle's x-mixture input: sign-flipped copies of one residual vector
+    y = rng.normal(0.0, scale, n)
+    return -np.outer(y * 0.01, rng.choice([-1.0, 1.0], size=4)).ravel()
+
+
+def _oracle_init(x: np.ndarray, m: int, seed: int) -> GmmModel:
+    rng = np.random.default_rng(seed + 1)
+    return GmmModel(
+        rng.dirichlet(np.ones(m)),
+        np.sort(rng.choice(x, size=m)),
+        x.var() * rng.uniform(0.2, 2.0, size=m),
+    )
+
+
+_ORACLE_CASES = dict(
+    kind=st.sampled_from(["gaussian", "laplacian", "egle"]),
+    m=st.sampled_from([2, 3]),
+    n=st.integers(3, 400),
+    seed=st.integers(0, 2**31 - 1),
+    warm=st.booleans(),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_ORACLE_CASES)
+def test_em_fit_matches_nm_layout_bit_for_bit(kind, m, n, seed, warm):
+    x = _oracle_samples(kind, n, seed)
+    init = _oracle_init(x, m, seed) if warm else None
+    # the kernel: every output of one run from the same start
+    start = init or GmmModel(
+        np.full(m, 1.0 / m), np.quantile(x, (np.arange(m) + 0.5) / m), np.full(m, x.var())
+    )
+    args = (x, start.weights, start.means, start.variances, 1e-9, 500)
+    got, want = noise._em_once(*args), _reference_em_once(*args)
+    for g, r in zip(got, want):
+        assert _same_bits(g, r) if isinstance(g, np.ndarray) else g == r
+    # the fit: both cold starts or the warm start, then ordering and labels
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a floored variance warns in both
+        fit = em_fit(x, m, seed=seed, init=init)
+        with mock.patch.object(noise, "_em_once", _reference_em_once):
+            ref = em_fit(x, m, seed=seed, init=init)
+    for name in ("weights", "means", "variances"):
+        assert _same_bits(getattr(fit.model, name), getattr(ref.model, name))
+    assert fit.loglik_history == ref.loglik_history
+    assert (fit.n_iter, fit.converged, fit.variance_floored) == (
+        ref.n_iter, ref.converged, ref.variance_floored
+    )
+    assert _same_bits(fit.assignment.labels, ref.assignment.labels)
+    assert _same_bits(fit.assignment.responsibilities, ref.assignment.responsibilities)
+    assert fit.assignment.responsibilities.shape == (x.size, m)
+
+
+def test_log_density_is_the_em_kernel_log_likelihood():
+    model = GmmModel(np.array([0.2, 0.5, 0.3]), np.array([-1.0, 0.0, 2.0]), np.array([0.3, 1.0, 2.0]))
+    pts = np.linspace(-4.0, 5.0, 101)
+    want = _reference_log_resp(pts, model.weights, model.means, model.variances)[1]
+    assert _same_bits(model.log_density(pts), want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_ORACLE_CASES)
+def test_em_loglik_never_decreases(kind, m, n, seed, warm):
+    x = _oracle_samples(kind, n, seed)
+    init = _oracle_init(x, m, seed) if warm else None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fit = em_fit(x, m, seed=seed, init=init)
+    hist = np.array(fit.loglik_history)
+    # each EM step raises the likelihood; only the rounding of the summed
+    # log densities may show as a drop
+    assert (np.diff(hist) >= -1e-12 * np.abs(hist[:-1]).clip(min=1.0)).all()
