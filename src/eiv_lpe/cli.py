@@ -35,14 +35,18 @@ EXIT_CONFIG = 2
 EXIT_FAILED = 3
 
 
-def _jobs_default() -> int:
-    env = os.environ.get("EIV_LPE_JOBS")
-    if env is not None:
+def _bench_jobs(args) -> int:
+    """Worker processes from --jobs, else EIV_LPE_JOBS, else 1."""
+    source, jobs = "--jobs", args.jobs
+    if jobs is None:
+        source, env = "EIV_LPE_JOBS", os.environ.get("EIV_LPE_JOBS", "1")
         try:
-            return max(1, int(env))
+            jobs = int(env)
         except ValueError:
-            pass
-    return 1
+            raise ConfigError(f"{source} must be a positive integer, got {env!r}") from None
+    if jobs < 1:
+        raise ConfigError(f"{source} must be a positive integer, got {jobs}")
+    return jobs
 
 
 def _scenarios_from_args(args) -> list[Scenario]:
@@ -123,6 +127,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_bench(args) -> int:
     """Run the configured scenario x estimator x seed grid."""
+    jobs = _bench_jobs(args)
     cfg = load_bench_config(args.config)
     out = args.out or cfg["output_dir"] or "bench_out"
     seeds = [args.seed] if args.seed is not None else cfg["seeds"]
@@ -131,7 +136,7 @@ def cmd_bench(args) -> int:
         estimators=cfg["estimators"],
         seeds=seeds,
         output_dir=Path(out),
-        jobs=args.jobs,
+        jobs=jobs,
         plots=not args.no_plots,
     )
     report = run_bench(bench)
@@ -186,8 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--config", required=True, help="bench config JSON")
     ben.add_argument("--out", default=None, help="output directory override")
     ben.add_argument("--seed", type=int, default=None, help="single-seed override")
-    ben.add_argument("--jobs", type=int, default=_jobs_default(),
-                     help="worker processes (or EIV_LPE_JOBS)")
+    ben.add_argument("--jobs", type=int, default=None,
+                     help="worker processes (default EIV_LPE_JOBS, else 1)")
     ben.add_argument("--no-plots", action="store_true", help="skip SVG plots")
     ben.set_defaults(func=cmd_bench)
 

@@ -415,6 +415,32 @@ def test_cli_bench_missing_config_is_config_error(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_cli_bench_rejects_non_positive_jobs(tmp_path, capsys, jobs):
+    cfg = _bench_config_json(tmp_path)
+    out = tmp_path / "bench"
+    rc = main(["bench", "--config", str(cfg), "--out", str(out), "--jobs", jobs, "--no-plots"])
+    assert rc == 2
+    assert f"--jobs must be a positive integer, got {jobs}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_non_integer_jobs_env_fails_bench_only(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("EIV_LPE_JOBS", "two")
+    cfg = _bench_config_json(tmp_path)
+    rc = main(["bench", "--config", str(cfg), "--out", str(tmp_path / "bench"), "--no-plots"])
+    assert rc == 2
+    assert "EIV_LPE_JOBS must be a positive integer, got 'two'" in capsys.readouterr().err
+    # generate and estimate never read the variable
+    data_dir = tmp_path / "data"
+    assert main(["generate", "--config", str(cfg), "--out", str(data_dir)]) == 0
+    est_cfg = tmp_path / "est.json"
+    est_cfg.write_text(json.dumps({"method": "tls"}))
+    out = tmp_path / "estimates"
+    assert main(["estimate", str(data_dir / "s1_noisy.csv"), "--config", str(est_cfg),
+                 "--out", str(out)]) == 0
+
+
 def test_cli_report_without_runs_is_config_error(tmp_path):
     cfg = _bench_config_json(tmp_path)
     rc = main(["report", "--config", str(cfg), "--out", str(tmp_path / "empty")])

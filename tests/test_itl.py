@@ -1,7 +1,11 @@
 """Entropy and correntropy ascent: objectives, gradients, constraints, guards."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eiv_lpe.estimators import (
     DivergenceError,
@@ -10,15 +14,21 @@ from eiv_lpe.estimators import (
     mtc_estimate,
     mtee_estimate,
 )
+from eiv_lpe.estimators import itl
 from eiv_lpe.estimators.itl import (
-    KERNEL_BLOCK_ROWS,
+    KERNEL_BLOCK_ENTRIES,
     mtc_gradient,
     mtc_objective,
     mtee_gradient,
     mtee_objective,
     total_error,
 )
-from eiv_lpe.line_model import EivProblem
+from eiv_lpe.line_model import EivProblem, LineParameters, build_regression, params_to_admittance
+from eiv_lpe.noise import GaussianNoise, LaplacianNoise, apply_noise
+from eiv_lpe.scenario import LoadRampProfile, Scenario, generate_true_records, initial_guess
+
+# largest n the kernel pass covers in one row block
+ONE_BLOCK = math.isqrt(KERNEL_BLOCK_ENTRIES)
 
 
 def _random_problem(rng, n, p, noise=0.01, constrained=False):
@@ -47,7 +57,7 @@ def test_mtee_objective_matches_double_sum():
     # sizes that end in a partial block
     rng = np.random.default_rng(1)
     sigma = 0.4
-    for n in (15, KERNEL_BLOCK_ROWS, 100, 3 * KERNEL_BLOCK_ROWS - 5):
+    for n in (15, 100, ONE_BLOCK, ONE_BLOCK + 1, 2 * ONE_BLOCK - 5):
         problem, w_true = _random_problem(rng, n, 3, noise=0.05)
         w = w_true + 0.1 * rng.normal(size=3)
         e = total_error(problem, w)
@@ -65,6 +75,103 @@ def test_mtee_objective_peak_at_zero_error():
     problem = EivProblem(x, x @ w)
     for sigma in (0.02, 0.3):
         assert abs(mtee_objective(problem, w, sigma) - 1.0 / (2 * sigma * np.sqrt(np.pi))) < 1e-14
+
+
+def _elementwise_value_grad(problem, w, sigma, rows=64):
+    """Oracle: the pass the moment form replaced, summing K, K*d and K*d^2
+    pair by pair over 64-row blocks of the uncentred errors."""
+    x = problem.x
+    n = x.shape[0]
+    s = float(w @ w + problem.eps0**-2)
+    e = (problem.y - x @ w) / np.sqrt(s)
+    ksum, quad, rs = 0.0, 0.0, np.empty(n)
+    for lo in range(0, n, rows):
+        d = e[lo : lo + rows, None] - e[None, :]
+        k = np.exp(d * d * (-0.25 / sigma**2))
+        ksum += float(k.sum())
+        rs[lo : lo + rows] = (k * d).sum(axis=1)
+        quad += float((k * d * d).sum())
+    norm = 1.0 / (2.0 * sigma * np.sqrt(np.pi))
+    grad = (quad * w / s + 2.0 * (x.T @ rs) / np.sqrt(s)) * (norm / (2.0 * sigma**2 * n**2))
+    return ksum * norm / n**2, grad
+
+
+def _gradient_scale(problem, w, sigma):
+    """The gradient with every term taken in absolute value.
+
+    Rounding in any summation order is relative to this scale, not to |g|:
+    the two halves of g cancel towards a stationary point.
+    """
+    x = problem.x
+    n = x.shape[0]
+    s = float(w @ w + problem.eps0**-2)
+    e = (problem.y - x @ w) / np.sqrt(s)
+    d = e[:, None] - e[None, :]
+    kd = np.abs(np.exp(d * d * (-0.25 / sigma**2)) * d)
+    quad = float((kd * np.abs(d)).sum())
+    terms = quad * np.abs(w) / s + 2.0 * (np.abs(x).T @ kd.sum(axis=1)) / np.sqrt(s)
+    norm = 1.0 / (2.0 * sigma * np.sqrt(np.pi))
+    return terms * (norm / (2.0 * sigma**2 * n**2))
+
+
+def _several_ragged_blocks(n):
+    rows = -(-n // -(-n * n // KERNEL_BLOCK_ENTRIES))
+    return n > rows and n % rows != 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.one_of(
+        st.just(1),
+        st.integers(2, ONE_BLOCK - 1),
+        st.just(ONE_BLOCK),
+        st.integers(ONE_BLOCK + 1, 3 * ONE_BLOCK).filter(_several_ragged_blocks),
+    ),
+    p=st.integers(1, 4),
+    offset=st.sampled_from([0.0, 1e3, 1e6]),
+    skewed=st.booleans(),
+    width=st.floats(0.5, 3.0),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_mtee_moment_pass_matches_elementwise_oracle(n, p, offset, skewed, width, seed):
+    # errors spread over 1e-3..1 with a common offset of up to 1e6 spreads,
+    # which only the centring keeps out of e*K1 - Ke; kernel width 0.5-3
+    # error standard deviations
+    rng = np.random.default_rng(seed)
+    p = min(p, n)
+    spread = 10.0 ** rng.uniform(-3, 0)
+    x = rng.normal(size=(n, p))
+    w = rng.normal(size=p)
+    noise = rng.gamma(2.0, size=n) if skewed else rng.laplace(size=n)
+    problem = EivProblem(x, x @ w + spread * (noise + offset))
+    w = w + 0.3 * spread * rng.normal(size=p)
+    sigma = width * (float(np.std(total_error(problem, w))) or 1.0)
+    value, grad = itl._mtee_value_grad(problem, w, sigma)
+    ref_value, ref_grad = _elementwise_value_grad(problem, w, sigma)
+    assert abs(value - ref_value) <= 1e-13 * ref_value
+    assert np.abs(grad - ref_grad).max() <= 1e-13 * _gradient_scale(problem, w, sigma).max()
+
+
+ORACLE_LINE = LineParameters(r=0.00269, x=0.0302, b=0.38)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mtee_stops_where_the_elementwise_oracle_stops(seed, monkeypatch):
+    noise = LaplacianNoise(0.0, 0.005) if seed % 2 else GaussianNoise(0.0, 0.005)
+    profile = LoadRampProfile(
+        n_records=50, vk_mag=(0.95, 1.08), angle_spread=(0.3, 0.6), sag_per_rad=0.08,
+        ref_angle=(0.0, 0.6),
+    )
+    records = generate_true_records(Scenario("oracle", ORACLE_LINE, profile, noise))
+    problem = build_regression(apply_noise(records, noise, seed))
+    guess = params_to_admittance(initial_guess(ORACLE_LINE, seed)).as_array()
+    config = EstimatorConfig("mtee", w0=guess)
+    res = mtee_estimate(problem, config)
+    monkeypatch.setattr(itl, "_mtee_value_grad", _elementwise_value_grad)
+    ref = mtee_estimate(problem, config)
+    assert res.converged and ref.converged
+    assert res.iterations == ref.iterations
+    assert np.allclose(res.w, ref.w, rtol=1e-12, atol=0)
 
 
 def test_mtc_objective_formula():
