@@ -56,6 +56,11 @@ def total_error(problem: EivProblem, w: np.ndarray) -> np.ndarray:
     return (problem.y - problem.x @ w) / scale
 
 
+def _block_rows(n: int) -> int:
+    """Rows per block when n rows split into ceil(n^2 / KERNEL_BLOCK_ENTRIES) near-equal blocks."""
+    return -(-n // -(-n * n // KERNEL_BLOCK_ENTRIES))
+
+
 def _mtee_value_grad(
     problem: EivProblem, w: np.ndarray, sigma: float
 ) -> tuple[float, np.ndarray]:
@@ -70,20 +75,24 @@ def _mtee_value_grad(
     the moments K1 = K 1 and Ke = K e (one BLAS product per row block)
     give rs = rowsum(K*d) = e*K1 - Ke, sum K d^2 = 2 e^T rs and the cross
     term 2 X^T rs.  e is centred first (d is shift invariant) so that
-    e*K1 - Ke does not cancel.
+    e*K1 - Ke does not cancel, and the diagonal K_ii = 1, which adds
+    nothing to rs, is left out of the moments so that their rounding
+    follows the other pairs.
     """
     x = problem.x
     n = x.shape[0]
     s = float(w @ w) + problem.eps0**-2
     root_s = math.sqrt(s)
-    e = (problem.y - x @ w) / root_s
+    basis = np.empty((2, n))
+    basis[0] = 1.0
+    e = basis[1]
+    np.subtract(problem.y, x @ w, out=e)
+    e /= root_s
     e -= e.sum() / n
-    basis = np.ones((n, 2))
-    basis[:, 1] = e
-    moments = np.empty((n, 2))
-    rows = -(-n // -(-n * n // KERNEL_BLOCK_ENTRIES))
+    moments = np.empty((2, n))
+    rows = _block_rows(n)
     block = np.empty((rows, n))
-    coef = -0.25 / sigma**2
+    coef = -0.25 / (sigma * sigma)
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
         k = block[: hi - lo]
@@ -91,14 +100,14 @@ def _mtee_value_grad(
         np.multiply(k, k, out=k)
         k *= coef
         np.exp(k, out=k)
-        np.matmul(k, basis, out=moments[lo:hi])
-    rs = e * moments[:, 0]
-    rs -= moments[:, 1]
+        k.ravel()[lo :: n + 1] = 0.0
+        np.matmul(basis, k.T, out=moments[:, lo:hi])
+    rs = e * moments[0]
+    rs -= moments[1]
     norm = 1.0 / (2.0 * sigma * math.sqrt(math.pi))
-    value = float(moments[:, 0].sum()) * norm / n**2
-    grad = (2.0 * float(e @ rs) / s) * w + (2.0 / root_s) * (x.T @ rs)
-    grad *= norm / (2.0 * sigma**2 * n**2)
-    return value, grad
+    scale = norm / (sigma * sigma * n * n)
+    grad = (scale / root_s) * (x.T @ rs) + (scale * float(e @ rs) / s) * w
+    return (float(moments[0].sum()) + n) * norm / (n * n), grad
 
 
 def mtee_objective(problem: EivProblem, w: np.ndarray, sigma: float) -> float:
@@ -210,7 +219,7 @@ def _ascent(problem: EivProblem, config: EstimatorConfig, method: str) -> Estima
         if constrained:
             w_next = w_next + c_mat @ (ctc_inv @ (f_vec - c_mat.T @ w_next))
         _guard(w_next, method, r + 1)
-        delta = float(np.abs(w_next - w).max())
+        delta = max(map(abs, (w_next - w).tolist()))
         w = w_next
         iterations = r + 1
         if delta <= config.tol:
