@@ -19,6 +19,7 @@ from .io import (
     ConfigError,
     estimator_from_dict,
     load_bench_config,
+    noise_from_dict,
     noise_to_dict,
     read_json,
     read_records_csv,
@@ -27,8 +28,7 @@ from .io import (
 )
 from .line_model import admittance_to_params, build_regression
 from .noise import apply_noise
-from .scenario import Scenario, generate_true_records, stock_lines, LoadRampProfile
-from .io import noise_from_dict
+from .scenario import LoadRampProfile, Scenario, generate_true_records, stock_lines
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

@@ -1,8 +1,9 @@
 """Serialization: PMU record CSVs, noise models, manifests, bench configs.
 
-CSV values are written with repr-level precision (17 significant digits) so
-a write/read round trip is exact.  Config files are JSON with a versioned
-`schema` field; unknown schema versions are rejected.
+PMU CSVs hold `t` as `%d` and the other eight columns as `%.17g` (not `repr`:
+0.1 is written 0.10000000000000001), with CRLF line ends, so a write/read
+round trip is bit-exact.  Config files are JSON with a versioned `schema`
+field; unknown schema versions are rejected.
 """
 
 from __future__ import annotations
@@ -48,17 +49,19 @@ class ConfigError(ValueError):
 _CSV_DTYPE = np.dtype(
     [(PMU_CSV_HEADER[0], np.int64)] + [(name, np.float64) for name in PMU_CSV_HEADER[1:]]
 )
+_CSV_BLOCK_ROWS = 1024  # rows per writelines call: few tolist calls, lists well under 1 MB
 
 
 def write_records_csv(records: np.recarray, path: str | Path) -> None:
     """Write a record window in the standard 9-column PMU CSV layout."""
-    # savetxt formats row by row; rows of a plain ndarray are read in C,
-    # where np.record rows would go through Python-level field access
     rows = records.view(np.ndarray).view(_CSV_DTYPE)
-    np.savetxt(
-        path, rows, fmt=["%d"] + ["%.17g"] * 8, delimiter=",",
-        newline="\r\n", header=",".join(PMU_CSV_HEADER), comments="",
-    )
+    # %-formatting the Python scalars of tolist() gives each cell np.savetxt's text
+    format_row = ("%d" + ",%.17g" * 8 + "\r\n").__mod__
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(PMU_CSV_HEADER) + "\r\n")
+        for lo in range(0, len(rows), _CSV_BLOCK_ROWS):
+            block = rows[lo : lo + _CSV_BLOCK_ROWS]
+            fh.writelines(map(format_row, zip(*[block[name].tolist() for name in PMU_CSV_HEADER])))
 
 
 def read_records_csv(path: str | Path) -> np.recarray:

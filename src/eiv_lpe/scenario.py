@@ -21,7 +21,6 @@ from .line_model import (
     admittance_to_params,
     build_regression,
     params_to_admittance,
-    phasor,
     simulate_records,
 )
 from .noise import NoiseModel
@@ -97,9 +96,15 @@ class LoadRampProfile:
         mag_k, mag_l = self._magnitudes()
         delta = self.angle_spread[0] + (self.angle_spread[1] - self.angle_spread[0]) * frac
         ref = self.ref_angle[0] + (self.ref_angle[1] - self.ref_angle[0]) * frac
-        vk = np.array([phasor(m, t) for m, t in zip(mag_k, ref)])
-        vl = np.array([phasor(m, t - d) for m, d, t in zip(mag_l, delta, ref)])
-        return vk, vl
+        return _polar(mag_k, ref), _polar(mag_l, ref - delta)
+
+
+def _polar(mag: np.ndarray, angle: np.ndarray) -> np.ndarray:
+    """cmath.rect over arrays: parts stored apart, as 1j * ... can flip a zero's sign."""
+    z = np.empty(len(mag), dtype=complex)
+    z.real = mag * np.cos(angle)
+    z.imag = mag * np.sin(angle)
+    return z
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Record windows: bit-exact CSV round trips and the per-record oracle.
 
 The `_reference_*` functions are the per-record loops over Python complex
-scalars that the vectorised window code replaced; they stay here as the
-oracle the window code must match bit for bit.
+scalars that the vectorised window code replaced, and `_reference_csv` is
+the np.savetxt call the block writer replaced; they stay here as the oracle
+the window code must match bit for bit and the writer byte for byte.
 """
 
 import tempfile
@@ -13,8 +14,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eiv_lpe.io import read_records_csv, write_records_csv
-from eiv_lpe.line_model import PMU_DTYPE, LineParameters, build_regression, simulate_records
+from eiv_lpe.io import _CSV_DTYPE, PMU_CSV_HEADER, read_records_csv, write_records_csv
+from eiv_lpe.line_model import (
+    PMU_DTYPE,
+    LineParameters,
+    build_regression,
+    phasor,
+    simulate_records,
+)
 from eiv_lpe.noise import (
     GaussianNoise,
     GmmModel,
@@ -41,6 +48,24 @@ NOISE_MODELS = [
     LaplacianNoise(0.001, 0.01),
     GmmNoise(GmmModel(np.array([0.3, 0.7]), np.array([0.0, 0.01]), np.array([4e-6, 4e-6]))),
 ]
+
+
+def _reference_voltages(profile):
+    frac = profile._fractions()
+    mag_k, mag_l = profile._magnitudes()
+    delta = profile.angle_spread[0] + (profile.angle_spread[1] - profile.angle_spread[0]) * frac
+    ref = profile.ref_angle[0] + (profile.ref_angle[1] - profile.ref_angle[0]) * frac
+    vk = np.array([phasor(m, t) for m, t in zip(mag_k, ref)])
+    vl = np.array([phasor(m, t - d) for m, d, t in zip(mag_l, delta, ref)])
+    return vk, vl
+
+
+def _reference_csv(records, path):
+    rows = records.view(np.ndarray).view(_CSV_DTYPE)
+    np.savetxt(
+        path, rows, fmt=["%d"] + ["%.17g"] * 8, delimiter=",",
+        newline="\r\n", header=",".join(PMU_CSV_HEADER), comments="",
+    )
 
 
 def _reference_records(vk, vl, params):
@@ -122,7 +147,27 @@ def test_csv_round_trip_is_bit_exact(rows):
         path = Path(tmp) / "window.csv"
         write_records_csv(records, path)
         back = read_records_csv(path)
+        _reference_csv(records, Path(tmp) / "reference.csv")
+        assert path.read_bytes() == (Path(tmp) / "reference.csv").read_bytes()
     assert _same_bits(back, records)
+
+
+# 1024 rows make one write block: windows on either side of one and two blocks
+@pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2049])
+def test_csv_writer_matches_savetxt(n, tmp_path):
+    rng = np.random.default_rng(n)
+    rows = np.zeros(n, dtype=_CSV_DTYPE)
+    rows["t"] = rng.integers(-(2**63), 2**63 - 1, size=n, endpoint=True)
+    for name in PMU_CSV_HEADER[1:]:
+        rows[name] = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+    records = rows.view(PMU_DTYPE).view(np.recarray)
+    write_records_csv(records, tmp_path / "window.csv")
+    _reference_csv(records, tmp_path / "reference.csv")
+    written = (tmp_path / "window.csv").read_bytes()
+    assert written == (tmp_path / "reference.csv").read_bytes()
+    assert written.count(b"\r\n") == n + 1
+    if n == 0:
+        assert written == b"t,vk_re,vk_im,vl_re,vl_im,ik_re,ik_im,il_re,il_im\r\n"
 
 
 VOLTAGE = st.builds(complex, st.floats(-10, 10), st.floats(-10, 10))
@@ -152,3 +197,23 @@ def test_workload_windows_match_per_record_reference(workload):
     vk, vl = profile.voltages()
     for seed in range(5):
         _check_against_reference(vk, vl, STOCK, model, seed)
+
+
+# The one- and two-record stock ramps, the workload ramps and the ramps of
+# the acceptance criteria, each once
+RAMPS = list(dict.fromkeys(
+    [LoadRampProfile(n_records=n) for n in (1, 2)]
+    + [profile for profile, _ in WORKLOAD_PROFILES.values()]
+    + [LoadRampProfile(n_records=2000, **NARROW)]
+    + [LoadRampProfile(n_records=n, **WIDE) for n in (25, 50, 100, 250, 400, 500)]
+))
+
+
+@pytest.mark.parametrize(
+    "profile", RAMPS, ids=lambda profile: f"n{profile.n_records}-{profile.angle_spread}"
+)
+def test_ramp_voltages_match_per_record_reference(profile):
+    vk, vl = profile.voltages()
+    ref_vk, ref_vl = _reference_voltages(profile)
+    assert _same_bits(vk, ref_vk)
+    assert _same_bits(vl, ref_vl)
