@@ -147,8 +147,9 @@ def test_csv_round_trip_is_bit_exact(rows):
         path = Path(tmp) / "window.csv"
         write_records_csv(records, path)
         back = read_records_csv(path)
-        _reference_csv(records, Path(tmp) / "reference.csv")
-        assert path.read_bytes() == (Path(tmp) / "reference.csv").read_bytes()
+        reference = Path(tmp) / "reference.csv"
+        _reference_csv(records, reference)
+        assert path.read_bytes() == reference.read_bytes()
     assert _same_bits(back, records)
 
 
