@@ -49,6 +49,11 @@ def _bench_jobs(args) -> int:
     return jobs
 
 
+def _check_seed(args) -> None:
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
+
+
 def _scenarios_from_args(args) -> list[Scenario]:
     if args.config:
         cfg = load_bench_config(args.config)
@@ -62,6 +67,7 @@ def _scenarios_from_args(args) -> list[Scenario]:
 
 def cmd_generate(args) -> int:
     """Write clean and noisy PMU CSVs plus a manifest for each scenario."""
+    _check_seed(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     scenarios = _scenarios_from_args(args)
@@ -127,6 +133,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_bench(args) -> int:
     """Run the configured scenario x estimator x seed grid."""
+    _check_seed(args)
     jobs = _bench_jobs(args)
     cfg = load_bench_config(args.config)
     out = args.out or cfg["output_dir"] or "bench_out"

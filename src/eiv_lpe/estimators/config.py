@@ -84,8 +84,12 @@ class EstimatorConfig:
             raise ValueError(f"kernel_sigma must be positive, got {self.kernel_sigma}")
         if self.step is not None and self.step <= 0:
             raise ValueError(f"step must be positive, got {self.step}")
+        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be a positive integer, got {self.max_iters!r}")
         if self.tol <= 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.egle_m_max < 1:
             raise ValueError(f"egle_m_max must be at least 1, got {self.egle_m_max}")
 

@@ -169,12 +169,15 @@ def scenario_from_dict(d: dict) -> Scenario:
             if key in prof_d:
                 prof_d[key] = tuple(prof_d[key])
         profile = LoadRampProfile(**prof_d)
+        seed = int(d.get("seed", 0))
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
         return Scenario(
             label=str(d["label"]),
             line=line,
             profile=profile,
             noise=noise_from_dict(d.get("noise")),
-            seed=int(d.get("seed", 0)),
+            seed=seed,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad scenario spec: {exc}") from exc
@@ -226,9 +229,9 @@ def load_bench_config(path: str | Path) -> dict[str, Any]:
     estimators = [estimator_from_dict(e) for e in raw.get("estimators", [])]
     if not estimators:
         raise ConfigError("config must define at least one estimator")
-    seeds = [int(s) for s in raw.get("seeds", [0])]
-    if not seeds:
-        raise ConfigError("seeds must be non-empty when given")
+    seeds = raw.get("seeds", [0])
+    if not (isinstance(seeds, list) and seeds and all(isinstance(s, int) and s >= 0 for s in seeds)):
+        raise ConfigError(f"seeds must be a non-empty list of non-negative integers, got {seeds!r}")
     return {
         "scenarios": scenarios,
         "estimators": estimators,

@@ -334,6 +334,48 @@ def test_cli_estimate_rejects_bad_config(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"method": "egle", "max_iters": 0}, "max_iters must be a positive integer, got 0"),
+        ({"method": "egle", "seed": -1}, "seed must be a non-negative integer, got -1"),
+        ({"method": "egle", "seed": 1.5}, "seed must be a non-negative integer, got 1.5"),
+    ],
+)
+def test_cli_estimate_rejects_out_of_range_knobs(tmp_path, capsys, spec, message):
+    data, _ = _clean_csv_and_tls_config(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(spec))
+    out = tmp_path / "estimates"
+    rc = main(["estimate", str(data), "--config", str(bad), "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "bench"])
+def test_cli_rejects_negative_seed_flag(tmp_path, capsys, command):
+    cfg = _bench_config_json(tmp_path)
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(cfg), "--out", str(out), "--seed", "-1"]
+              + (["--no-plots"] if command == "bench" else []))
+    assert rc == 2
+    assert "--seed must be non-negative, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "bench"])
+def test_cli_rejects_negative_config_seed(tmp_path, capsys, command):
+    cfg = json.loads(_bench_config_json(tmp_path).read_text())
+    cfg["scenarios"][0]["seed"] = -1
+    path = tmp_path / "neg.json"
+    path.write_text(json.dumps(cfg))
+    rc = main([command, "--config", str(path), "--out", str(tmp_path / "out")]
+              + (["--no-plots"] if command == "bench" else []))
+    assert rc == 2
+    assert "seed must be non-negative, got -1" in capsys.readouterr().err
+
+
 def _clean_csv_and_tls_config(tmp_path):
     data_dir = tmp_path / "data"
     main(["generate", "--config", str(_bench_config_json(tmp_path)), "--out", str(data_dir)])

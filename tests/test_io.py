@@ -113,6 +113,8 @@ def test_scenario_from_dict_errors():
         scenario_from_dict({"label": "a"})  # no line
     with pytest.raises(ConfigError):
         scenario_from_dict({"label": "a", "line": {"r": -1.0, "x": 0.1, "b": 0.2}})
+    with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+        scenario_from_dict({"label": "a", "line": {"r": 0.01, "x": 0.1, "b": 0.2}, "seed": -1})
 
 
 def test_estimator_from_dict():
@@ -126,6 +128,12 @@ def test_estimator_from_dict():
         estimator_from_dict({"method": "typo"})
     with pytest.raises(ConfigError):
         estimator_from_dict({"method": "mtc", "step": -1.0})
+    # an egle cell with no iteration, and EM restart seeds numpy rejects
+    for bad in ({"method": "egle", "max_iters": 0}, {"method": "mtc", "max_iters": -3},
+                {"method": "mtc", "max_iters": 2.5}, {"method": "egle", "seed": -1},
+                {"method": "egle", "seed": 1.5}):
+        with pytest.raises(ConfigError, match="max_iters must be a positive|seed must be a non-negative"):
+            estimator_from_dict(bad)
 
 
 def _valid_config(tmp_path, **overrides):
@@ -176,6 +184,9 @@ def test_load_bench_config_errors(tmp_path):
         load_bench_config(_valid_config(tmp_path, estimators=[]))
     with pytest.raises(ConfigError):
         load_bench_config(_valid_config(tmp_path, seeds=[]))
+    for bad in ([0, -2], ["a"], [1.5], 3):
+        with pytest.raises(ConfigError, match="seeds must be a non-empty list"):
+            load_bench_config(_valid_config(tmp_path, seeds=bad))
     dup = json.loads(_valid_config(tmp_path).read_text())
     dup["scenarios"].append(dict(dup["scenarios"][0]))
     dup_path = tmp_path / "dup.json"

@@ -1,5 +1,6 @@
 """Noise models, seeded sampling, record corruption and GMM/EM fitting."""
 
+import threading
 import warnings
 from unittest import mock
 
@@ -319,3 +320,99 @@ def test_em_loglik_never_decreases(kind, m, n, seed, warm):
     # each EM step raises the likelihood; only the rounding of the summed
     # log densities may show as a drop
     assert (np.diff(hist) >= -1e-12 * np.abs(hist[:-1]).clip(min=1.0)).all()
+
+
+# --- the two cold starts: exact row sums and the helper thread -----------------
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.array([[0.1, 0.2, 0.3, 1e16, -1e16, 0.7]]),
+        np.random.default_rng(5).normal(size=(2, 1001)),
+        np.random.default_rng(6).lognormal(size=(3, 257)) * [[1.0], [1e-8], [1e8]],
+        np.array([[0.25], [-1.5]]),
+        np.array([[-0.0, -0.0, -0.0], [-0.0, 1.0, -0.0]]),
+    ],
+    ids=["m1", "m2", "m3", "n1", "negative-zero"],
+)
+def test_row_sums_match_2d_cumsum_byte_for_byte(a):
+    assert _same_bits(noise._row_sums(a), np.cumsum(a, axis=1)[:, -1] + 0.0)
+
+
+def _reference_cold_em_fit(x, m, seed, tol, max_iter):
+    """em_fit's cold path as one serial loop over the two starts."""
+    pooled = max(x.var(), noise.VARIANCE_FLOOR)
+    quantiles = np.quantile(x, (np.arange(m) + 0.5) / m)
+    w0 = np.full(m, 1.0 / m)
+    var0 = np.full(m, pooled)
+    rng = np.random.default_rng(seed)
+    perturbed = quantiles + rng.normal(0.0, np.sqrt(pooled), size=m)
+    best = None
+    for mu0 in (quantiles, perturbed):
+        w, mu, var, resp, history, converged, floored = noise._em_once(
+            x, w0.copy(), mu0.astype(float).copy(), var0.copy(), tol, max_iter
+        )
+        if best is None or history[-1] > best[4][-1]:
+            best = (w, mu, var, resp, history, converged, floored)
+    w, mu, var, resp, history, converged, floored = best
+    order = np.argsort(mu)
+    w, mu, var, resp = w[order], mu[order], var[order], resp[order]
+    return (w / w.sum(), mu, var), history, len(history), resp.argmax(axis=0), resp.T
+
+
+@pytest.mark.parametrize("size", [noise.EM_THREAD_MIN_SAMPLES, noise.EM_THREAD_MIN_SAMPLES - 1])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_cold_em_fit_matches_serial_two_start_loop(size, seed):
+    x = _oracle_samples("egle", noise.EM_THREAD_MIN_SAMPLES // 4, seed)[:size]
+    fit = em_fit(x, 2, seed=seed, max_iter=30)
+    model, history, n_iter, labels, resp = _reference_cold_em_fit(x, 2, seed, 1e-9, 30)
+    for name, want in zip(("weights", "means", "variances"), model):
+        assert _same_bits(getattr(fit.model, name), want)
+    assert fit.loglik_history == history and fit.n_iter == n_iter
+    assert _same_bits(fit.assignment.labels, labels)
+    assert _same_bits(fit.assignment.responsibilities, resp)
+
+
+@pytest.mark.parametrize("size", [noise.EM_THREAD_MIN_SAMPLES, noise.EM_THREAD_MIN_SAMPLES - 1])
+@pytest.mark.parametrize(
+    "second, perturbed_wins",
+    [(-5.0, False), (-4.0, True), (np.nan, False)],
+    ids=["tie", "higher", "nan"],
+)
+def test_cold_start_selection_and_helper_thread(size, second, perturbed_wins):
+    x = np.linspace(-1.0, 1.0, size)
+    quantiles = np.quantile(x, [0.25, 0.75])
+    calls = []
+
+    def fake_em_once(x, w, mu, var, tol, max_iter):
+        is_quantile_start = np.array_equal(mu, quantiles)
+        calls.append((is_quantile_start, threading.get_ident(), np.geterr()["over"]))
+        final = -5.0 if is_quantile_start else second
+        return w, mu, var, np.full((2, x.size), 0.5), [-9.0, final], True, False
+
+    with mock.patch.object(noise, "_em_once", fake_em_once), np.errstate(over="raise"):
+        fit = em_fit(x, 2, seed=3)
+    assert np.array_equal(fit.model.means, quantiles) != perturbed_wins
+    assert fit.loglik_history[-1] == (second if perturbed_wins else -5.0)
+    # the quantile start runs in the caller; the perturbed one runs on a
+    # helper thread for large fits, under the caller's np.errstate
+    threaded = size >= noise.EM_THREAD_MIN_SAMPLES
+    by_start = {start: (ident, over) for start, ident, over in calls}
+    assert by_start[True] == (threading.get_ident(), "raise")
+    assert (by_start[False][0] != threading.get_ident()) == threaded
+    assert by_start[False][1] == "raise"
+
+
+def test_cold_start_helper_error_propagates():
+    x = np.linspace(-1.0, 1.0, noise.EM_THREAD_MIN_SAMPLES)
+    quantiles = np.quantile(x, [0.25, 0.75])
+
+    def fake_em_once(x, w, mu, var, tol, max_iter):
+        if not np.array_equal(mu, quantiles):
+            raise FloatingPointError("perturbed start failed")
+        return w, mu, var, np.full((2, x.size), 0.5), [-5.0], True, False
+
+    with mock.patch.object(noise, "_em_once", fake_em_once):
+        with pytest.raises(FloatingPointError, match="perturbed start failed"):
+            em_fit(x, 2, seed=3)
