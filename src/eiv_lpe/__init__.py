@@ -21,7 +21,6 @@ from .estimators import (
     tls_estimate,
 )
 from .line_model import (
-    AdmittanceVector,
     EivProblem,
     PMU_DTYPE,
     LineParameters,
@@ -53,7 +52,6 @@ from .scenario import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmittanceVector",
     "AreReport",
     "DivergenceError",
     "EivProblem",

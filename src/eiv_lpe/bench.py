@@ -29,7 +29,7 @@ import numpy as np
 
 from .estimators import EstimatorConfig, Trace
 from .io import SCHEMA_VERSION, estimator_to_dict, scenario_to_dict
-from .line_model import admittance_to_params, params_to_admittance
+from .line_model import admittance_to_params
 from .scenario import Scenario, run_scenario
 
 __all__ = [

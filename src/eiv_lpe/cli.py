@@ -68,9 +68,9 @@ def _scenarios_from_args(args) -> list[Scenario]:
 def cmd_generate(args) -> int:
     """Write clean and noisy PMU CSVs plus a manifest for each scenario."""
     _check_seed(args)
+    scenarios = _scenarios_from_args(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    scenarios = _scenarios_from_args(args)
     manifest = {"schema": 1, "scenarios": []}
     for sc in scenarios:
         seed = args.seed if args.seed is not None else sc.seed

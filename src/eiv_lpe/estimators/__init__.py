@@ -15,10 +15,8 @@ from .config import (
 from .egle import (
     NewtonResult,
     egle_estimate,
-    egle_noise_estimates,
     egle_stationarity,
     solve_params,
-    standardized_sse,
 )
 from .itl import (
     cmtc_estimate,
@@ -44,7 +42,6 @@ __all__ = [
     "estimate",
     "cmtc_estimate",
     "egle_estimate",
-    "egle_noise_estimates",
     "egle_stationarity",
     "mtc_estimate",
     "mtc_gradient",
@@ -53,7 +50,6 @@ __all__ = [
     "mtee_gradient",
     "mtee_objective",
     "solve_params",
-    "standardized_sse",
     "tls_estimate",
     "tls_objective",
     "total_error",

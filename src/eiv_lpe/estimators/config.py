@@ -31,6 +31,11 @@ _DEFAULT_MAX_ITERS = {"mtee": 5_000, "mtc": 50_000, "cmtc": 50_000, "egle": 100}
 DIVERGENCE_NORM = 1e6
 
 
+def is_int(value) -> bool:
+    """True for Python and NumPy integers; bool, float and str are not counts."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 class EstimatorError(RuntimeError):
     """Raised when an estimator cannot produce a solution."""
 
@@ -84,14 +89,16 @@ class EstimatorConfig:
             raise ValueError(f"kernel_sigma must be positive, got {self.kernel_sigma}")
         if self.step is not None and self.step <= 0:
             raise ValueError(f"step must be positive, got {self.step}")
-        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
-            raise ValueError(f"max_iters must be a positive integer, got {self.max_iters!r}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        for name in ("max_iters", "egle_m_max"):
+            value = getattr(self, name)
+            if not is_int(value) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        for name in ("tol", "egle_inner_tol", "egle_outer_tol"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+        if not is_int(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if self.egle_m_max < 1:
-            raise ValueError(f"egle_m_max must be at least 1, got {self.egle_m_max}")
 
 
 @dataclass

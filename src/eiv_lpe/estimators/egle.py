@@ -2,12 +2,14 @@
 
 The noise on the response and on the regressors is modeled by two scalar
 Gaussian mixtures sharing a component count m.  Rows are assigned to mixture
-components, and for each candidate m the estimator alternates three steps:
-estimate per-entry noise realizations from the current parameters, refit
-both mixtures by EM on those estimates, and re-solve the parameter
-stationarity system by Newton's method (with a KKT-augmented system when the
-problem carries an equality constraint).  The final m is chosen by the
-lowest summed BIC of the two mixture fits.
+components, and for each candidate m the estimator alternates two steps:
+refit both mixtures by EM on the normalized total error of the current
+parameters (egle_em_samples), and re-solve the parameter stationarity system
+by Newton's method (with a KKT-augmented system when the problem carries an
+equality constraint).  Each iterate's trace objective is the standardized
+SSE of the conditional-mean noise estimates, 1/2 sum_i alpha_i^2 gamma_sig_i
+in the notation of _group_terms.  The final m is chosen by the lowest summed
+BIC of the two mixture fits.
 """
 
 from __future__ import annotations
@@ -23,10 +25,8 @@ from .config import EgleMeta, EstimateResult, EstimatorConfig, EstimatorError, T
 from .tls import tls_estimate
 
 __all__ = [
-    "standardized_sse",
     "egle_stationarity",
     "egle_jacobian",
-    "egle_noise_estimates",
     "egle_em_samples",
     "solve_params",
     "NewtonResult",
@@ -49,8 +49,8 @@ def _group_terms(
     y_gmm: GmmModel,
     x_gmm: GmmModel,
     labels: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-row scaled residuals alpha plus the per-row mixture moments.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row scaled residuals alpha and residual gains gamma_sig.
 
     For a row in component g the residual offset and gain are
 
@@ -59,36 +59,36 @@ def _group_terms(
 
     and alpha = (y - Xw - gamma_mu) / gamma_sig elementwise.
     """
-    w_sum = float(w.sum())
-    w_sq = float(w @ w)
-    gamma_mu = y_gmm.means - x_gmm.means * w_sum
-    gamma_sig = y_gmm.variances + x_gmm.variances * w_sq
-    gm = gamma_mu[labels]
+    gamma_mu = y_gmm.means - x_gmm.means * float(w.sum())
+    gamma_sig = y_gmm.variances + x_gmm.variances * float(w @ w)
     gs = gamma_sig[labels]
-    alpha = (problem.y - problem.x @ w - gm) / gs
-    return alpha, gm, gs
+    alpha = (problem.y - problem.x @ w - gamma_mu[labels]) / gs
+    return alpha, gs
 
 
-def egle_noise_estimates(
+def _newton_system(
     problem: EivProblem,
     w: np.ndarray,
     y_gmm: GmmModel,
     x_gmm: GmmModel,
     labels: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Conditional-mean noise realizations given parameters and mixtures.
+    """f(w) = sum_g (X_g - Xe_g)^T alpha_g and its exact Jacobian from one row pass.
 
-    y_e = y_var * alpha + y_mu and x_e[:, j] = -w_j * x_var * alpha + x_mu,
-    with the component moments of each row's assigned group.  Substituting
-    these back into the regression reproduces the row residual exactly.
+    With v and mu the x-mixture variance and mean of each row's component,
+    the regressor noise estimate is Xe = mu 1^T - (v * alpha) w^T.  With
+    Z = X - mu 1^T + 2 (v * alpha) w^T, d alpha / d w = -diag(1 / gamma_sig) Z
+    and J = (sum_i v_i alpha_i^2) I - Z^T diag(1 / gamma_sig) Z, symmetric
+    because f is a gradient.
     """
-    alpha, _, _ = _group_terms(problem, w, y_gmm, x_gmm, labels)
-    y_e = y_gmm.variances[labels] * alpha + y_gmm.means[labels]
-    x_e = (
-        -np.outer(x_gmm.variances[labels] * alpha, w)
-        + x_gmm.means[labels][:, None]
-    )
-    return y_e, x_e
+    alpha, gs = _group_terms(problem, w, y_gmm, x_gmm, labels)
+    va = x_gmm.variances[labels] * alpha
+    vaw = np.outer(va, w)
+    mu = x_gmm.means[labels][:, None]
+    f = (problem.x - (-vaw + mu)).T @ alpha
+    z = problem.x - mu + 2.0 * vaw
+    jac = float(va @ alpha) * np.eye(w.size) - z.T @ (z / gs[:, None])
+    return f, jac
 
 
 def egle_stationarity(
@@ -99,12 +99,7 @@ def egle_stationarity(
     labels: np.ndarray,
 ) -> np.ndarray:
     """Gradient-of-likelihood system f(w) = sum_g (X_g - Xe_g)^T alpha_g."""
-    alpha, _, _ = _group_terms(problem, w, y_gmm, x_gmm, labels)
-    x_e = (
-        -np.outer(x_gmm.variances[labels] * alpha, w)
-        + x_gmm.means[labels][:, None]
-    )
-    return (problem.x - x_e).T @ alpha
+    return _newton_system(problem, w, y_gmm, x_gmm, labels)[0]
 
 
 def egle_jacobian(
@@ -114,34 +109,23 @@ def egle_jacobian(
     x_gmm: GmmModel,
     labels: np.ndarray,
 ) -> np.ndarray:
-    """Exact Jacobian of egle_stationarity with respect to w.
-
-    With v and mu the x-mixture variance and mean of each row's component,
-    gamma_sig the row gains of _group_terms and
-    Z = X - mu 1^T + 2 (v * alpha) w^T, so that d alpha / d w =
-    -diag(1 / gamma_sig) Z,
-
-        J = (sum_i v_i alpha_i^2) I - Z^T diag(1 / gamma_sig) Z,
-
-    which is symmetric because f is a gradient.
-    """
-    alpha, _, gs = _group_terms(problem, w, y_gmm, x_gmm, labels)
-    va = x_gmm.variances[labels] * alpha
-    z = problem.x - x_gmm.means[labels][:, None] + 2.0 * np.outer(va, w)
-    return float(va @ alpha) * np.eye(w.size) - z.T @ (z / gs[:, None])
+    """Exact Jacobian of egle_stationarity with respect to w (see _newton_system)."""
+    return _newton_system(problem, w, y_gmm, x_gmm, labels)[1]
 
 
-def standardized_sse(
-    y_e: np.ndarray,
-    x_e: np.ndarray,
+def _trace_objective(
+    problem: EivProblem,
+    w: np.ndarray,
     y_gmm: GmmModel,
     x_gmm: GmmModel,
     labels: np.ndarray,
 ) -> float:
-    """Half the squared norm of the component-standardized noise estimates."""
-    ys = (y_e - y_gmm.means[labels]) / np.sqrt(y_gmm.variances[labels])
-    xs = (x_e - x_gmm.means[labels][:, None]) / np.sqrt(x_gmm.variances[labels][:, None])
-    return 0.5 * float(ys @ ys) + 0.5 * float((xs * xs).sum())
+    """Half the standardized SSE of the noise estimates, 1/2 sum_i alpha_i^2 gamma_sig_i.
+
+    Standardized, the estimates of a row are sqrt(y_var) alpha and -sqrt(x_var) alpha w.
+    """
+    alpha, gs = _group_terms(problem, w, y_gmm, x_gmm, labels)
+    return 0.5 * float((alpha * alpha) @ gs)
 
 
 def solve_params(
@@ -155,7 +139,7 @@ def solve_params(
 ) -> NewtonResult:
     """Newton solve of the stationarity system for fixed mixtures.
 
-    Each step uses the closed-form Jacobian of egle_jacobian.  With an
+    Each step takes f and its closed-form Jacobian from one row pass.  With an
     equality constraint C^T w = f the step solves the KKT-augmented
     system, so every iterate after the first lies exactly on the
     constraint set.
@@ -174,8 +158,7 @@ def solve_params(
     converged = False
     iterations = 0
     for it in range(max_iter):
-        f0 = egle_stationarity(problem, w, y_gmm, x_gmm, labels)
-        jac = egle_jacobian(problem, w, y_gmm, x_gmm, labels)
+        f0, jac = _newton_system(problem, w, y_gmm, x_gmm, labels)
         try:
             if constrained:
                 kkt = np.zeros((p + c, p + c))
@@ -225,7 +208,7 @@ def egle_em_samples(
 
 
 def egle_estimate(problem: EivProblem, config: EstimatorConfig) -> EstimateResult:
-    """Alternating noise-estimation / EM / Newton loop over m = 1..m_max.
+    """Alternating EM / Newton loop over m = 1..m_max.
 
     Every candidate m starts from the same w0 (the TLS solution when the
     config does not provide one).  A candidate converges when the parameter
@@ -245,10 +228,7 @@ def egle_estimate(problem: EivProblem, config: EstimatorConfig) -> EstimateResul
     """
     start = time.perf_counter()
     n, p = problem.x.shape
-    if config.w0 is not None:
-        w0 = np.asarray(config.w0, dtype=float).copy()
-    else:
-        w0 = tls_estimate(problem).w
+    w0 = tls_estimate(problem).w if config.w0 is None else config.w0
     runs: dict[int, dict] = {}
     for m in range(1, config.egle_m_max + 1):
         w = w0.copy()
@@ -274,11 +254,8 @@ def egle_estimate(problem: EivProblem, config: EstimatorConfig) -> EstimateResul
                 )
                 labels = y_fit.assignment.labels
                 if not ws:
-                    y_e, x_e = egle_noise_estimates(
-                        problem, w, y_fit.model, x_fit.model, labels
-                    )
                     ws.append(w)
-                    sse.append(standardized_sse(y_e, x_e, y_fit.model, x_fit.model, labels))
+                    sse.append(_trace_objective(problem, w, y_fit.model, x_fit.model, labels))
                 res = solve_params(
                     problem, y_fit.model, x_fit.model, labels, w,
                     tol=config.egle_inner_tol,
@@ -300,9 +277,8 @@ def egle_estimate(problem: EivProblem, config: EstimatorConfig) -> EstimateResul
                 delta = 0.5 * delta
             deltas.append(delta)
             w = w_next
-            y_e, x_e = egle_noise_estimates(problem, w, y_fit.model, x_fit.model, labels)
             ws.append(w)
-            sse.append(standardized_sse(y_e, x_e, y_fit.model, x_fit.model, labels))
+            sse.append(_trace_objective(problem, w, y_fit.model, x_fit.model, labels))
             if delta <= config.egle_outer_tol:
                 converged = True
                 break

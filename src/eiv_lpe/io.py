@@ -16,6 +16,7 @@ from typing import Any
 import numpy as np
 
 from .estimators import EstimatorConfig
+from .estimators.config import is_int
 from .line_model import PMU_DTYPE, LineParameters
 from .noise import GaussianNoise, GmmModel, GmmNoise, LaplacianNoise, NoiseModel
 from .scenario import LoadRampProfile, Scenario
@@ -169,7 +170,9 @@ def scenario_from_dict(d: dict) -> Scenario:
             if key in prof_d:
                 prof_d[key] = tuple(prof_d[key])
         profile = LoadRampProfile(**prof_d)
-        seed = int(d.get("seed", 0))
+        seed = d.get("seed", 0)
+        if not is_int(seed):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
         if seed < 0:
             raise ValueError(f"seed must be non-negative, got {seed}")
         return Scenario(
@@ -230,7 +233,7 @@ def load_bench_config(path: str | Path) -> dict[str, Any]:
     if not estimators:
         raise ConfigError("config must define at least one estimator")
     seeds = raw.get("seeds", [0])
-    if not (isinstance(seeds, list) and seeds and all(isinstance(s, int) and s >= 0 for s in seeds)):
+    if not (isinstance(seeds, list) and seeds and all(is_int(s) and s >= 0 for s in seeds)):
         raise ConfigError(f"seeds must be a non-empty list of non-negative integers, got {seeds!r}")
     return {
         "scenarios": scenarios,

@@ -14,10 +14,10 @@ import cmath
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 __all__ = [
     "LineParameters",
-    "AdmittanceVector",
     "PMU_DTYPE",
     "EivProblem",
     "branch_currents",
@@ -61,30 +61,6 @@ class LineParameters:
             raise ValueError("series impedance must be nonzero")
 
 
-@dataclass(frozen=True)
-class AdmittanceVector:
-    """Real coefficient vector (y1, y2, y3, y4) of the stacked regression.
-
-    y1 = Re(y_kl), y2 = -(b + Im(y_kl)), y3 = -Re(y_kl), y4 = Im(y_kl)
-    where y_kl = 1 / (r + jx).  A physical line satisfies y1 + y3 = 0.
-    """
-
-    y1: float
-    y2: float
-    y3: float
-    y4: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.y1, self.y2, self.y3, self.y4])
-
-    @classmethod
-    def from_array(cls, w: np.ndarray) -> "AdmittanceVector":
-        w = np.asarray(w, dtype=float)
-        if w.shape != (4,):
-            raise ValueError(f"admittance vector must have shape (4,), got {w.shape}")
-        return cls(*(float(v) for v in w))
-
-
 @dataclass
 class EivProblem:
     """Real regression y ~ X w with noise in both sides.
@@ -123,10 +99,6 @@ class EivProblem:
             if c.ndim != 2 or c.shape[0] != p or f.shape != (c.shape[1],):
                 raise ValueError("constraint shapes must be (p, c) and (c,)")
             self.constraint = (c, f)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.x.shape
 
 
 def series_admittance(params: LineParameters) -> complex:
@@ -171,14 +143,18 @@ def branch_currents(
     return ik[()], il[()]
 
 
-def params_to_admittance(params: LineParameters) -> AdmittanceVector:
-    """Map (r, x, b) to the regression coefficient vector."""
+def params_to_admittance(params: LineParameters) -> np.ndarray:
+    """Map (r, x, b) to the regression coefficient vector (y1, y2, y3, y4).
+
+    y1 = Re(y_kl), y2 = -(b + Im(y_kl)), y3 = -Re(y_kl), y4 = Im(y_kl)
+    where y_kl = 1 / (r + jx).  A physical line satisfies y1 + y3 = 0.
+    """
     y = series_admittance(params)
     g, by = y.real, y.imag
-    return AdmittanceVector(g, -(params.b + by), -g, by)
+    return np.array([g, -(params.b + by), -g, by])
 
 
-def admittance_to_params(w: AdmittanceVector | np.ndarray) -> LineParameters:
+def admittance_to_params(w: ArrayLike) -> LineParameters:
     """Recover (r, x, b) from an estimated coefficient vector.
 
     The inverse uses the symmetric combination (y1 - y3) / 2 for the series
@@ -187,12 +163,13 @@ def admittance_to_params(w: AdmittanceVector | np.ndarray) -> LineParameters:
     Raises
     ------
     ValueError
-        If the implied series admittance is numerically zero.
+        If w does not have shape (4,), or the implied series admittance is
+        numerically zero.
     """
-    if isinstance(w, AdmittanceVector):
-        y1, y2, y3, y4 = w.y1, w.y2, w.y3, w.y4
-    else:
-        y1, y2, y3, y4 = AdmittanceVector.from_array(np.asarray(w)).as_array()
+    w = np.asarray(w, dtype=float)
+    if w.shape != (4,):
+        raise ValueError(f"admittance vector must have shape (4,), got {w.shape}")
+    y1, y2, y3, y4 = w
     den = (y1 - y3) ** 2 + (2.0 * y4) ** 2
     if den < 1e-24:
         raise ValueError("estimated series admittance is numerically zero")

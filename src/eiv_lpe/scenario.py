@@ -9,7 +9,7 @@ configurations, reporting absolute relative errors against the truth.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -120,17 +120,11 @@ class Scenario:
 
 @dataclass
 class AreReport:
-    """Absolute relative errors of recovered parameters.
-
-    r/x/b compare recovered line parameters; y1..y4 compare the raw
-    coefficient vectors when both are available (unconstrained estimates
-    need not satisfy y1 + y3 = 0, so they are reported separately).
-    """
+    """Absolute relative errors of the recovered line parameters r, x and b."""
 
     r: float
     x: float
     b: float
-    y: np.ndarray | None = None
 
 
 @dataclass
@@ -161,12 +155,7 @@ def generate_true_records(scenario: Scenario) -> np.recarray:
     return records
 
 
-def are(
-    estimated: LineParameters,
-    true: LineParameters,
-    w_hat: np.ndarray | None = None,
-    w_true: np.ndarray | None = None,
-) -> AreReport:
+def are(estimated: LineParameters, true: LineParameters) -> AreReport:
     """Per-component absolute relative errors |est - true| / |true|.
 
     Raises
@@ -180,14 +169,7 @@ def are(
         if t == 0:
             raise ValueError(f"true {name} is zero; relative error undefined")
         vals[name] = abs((getattr(estimated, name) - t) / t)
-    y_are = None
-    if w_hat is not None and w_true is not None:
-        w_hat = np.asarray(w_hat, dtype=float)
-        w_true = np.asarray(w_true, dtype=float)
-        if (w_true == 0).any():
-            raise ValueError("true coefficient vector has a zero component")
-        y_are = np.abs((w_hat - w_true) / w_true)
-    return AreReport(vals["r"], vals["x"], vals["b"], y_are)
+    return AreReport(**vals)
 
 
 def initial_guess(line: LineParameters, seed: int, spread: float = 0.2) -> LineParameters:
@@ -217,8 +199,7 @@ def run_scenario(
     records = clean if scenario.noise is None else apply_noise(clean, scenario.noise, eff_seed)
     free = build_regression(records)
     tied = replace(free, constraint=(CONSTRAINT_C.copy(), CONSTRAINT_F.copy()))
-    w_true = params_to_admittance(scenario.line).as_array()
-    guess = params_to_admittance(initial_guess(scenario.line, eff_seed)).as_array()
+    guess = params_to_admittance(initial_guess(scenario.line, eff_seed))
 
     outcomes: list[ScenarioRun] = []
     for config in configs:
@@ -229,7 +210,7 @@ def run_scenario(
         try:
             result = estimate(problem, cfg)
             params = admittance_to_params(result.w)
-            report = are(params, scenario.line, result.w, w_true)
+            report = are(params, scenario.line)
             outcomes.append(ScenarioRun(cfg, result, report, params))
         except (EstimatorError, ValueError) as exc:
             outcomes.append(ScenarioRun(cfg, None, None, None, error=str(exc)))

@@ -399,7 +399,7 @@ def _mtee_problem(n_records, seed=0):
 
 
 def test_criterion_9_complexity_proxy(criterion_log):
-    guess = params_to_admittance(initial_guess(TRUTH, 0)).as_array()
+    guess = params_to_admittance(initial_guess(TRUTH, 0))
     # (a) per-iteration scaling between 200 and 400 regression rows;
     # best-of-5 fixed 200-iteration runs smooth out scheduler noise
     per_iter = {}

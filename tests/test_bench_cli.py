@@ -340,6 +340,12 @@ def test_cli_estimate_rejects_bad_config(tmp_path):
         ({"method": "egle", "max_iters": 0}, "max_iters must be a positive integer, got 0"),
         ({"method": "egle", "seed": -1}, "seed must be a non-negative integer, got -1"),
         ({"method": "egle", "seed": 1.5}, "seed must be a non-negative integer, got 1.5"),
+        ({"method": "mtc", "max_iters": True}, "max_iters must be a positive integer, got True"),
+        ({"method": "egle", "seed": True}, "seed must be a non-negative integer, got True"),
+        ({"method": "egle", "egle_m_max": 2.5}, "egle_m_max must be a positive integer, got 2.5"),
+        ({"method": "egle", "egle_m_max": 0}, "egle_m_max must be a positive integer, got 0"),
+        ({"method": "egle", "egle_outer_tol": -1}, "egle_outer_tol must be positive, got -1"),
+        ({"method": "egle", "egle_inner_tol": 0}, "egle_inner_tol must be positive, got 0"),
     ],
 )
 def test_cli_estimate_rejects_out_of_range_knobs(tmp_path, capsys, spec, message):
@@ -374,6 +380,32 @@ def test_cli_rejects_negative_config_seed(tmp_path, capsys, command):
               + (["--no-plots"] if command == "bench" else []))
     assert rc == 2
     assert "seed must be non-negative, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["generate", "bench"])
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("seed", 1.9, "seed must be an integer, got 1.9"),
+        ("seed", "7", "seed must be an integer, got '7'"),
+        ("seed", True, "seed must be an integer, got True"),
+        ("seeds", [True], "seeds must be a non-empty list of non-negative integers, got [True]"),
+    ],
+)
+def test_cli_rejects_non_integer_config_seed(tmp_path, capsys, command, key, value, message):
+    cfg = json.loads(_bench_config_json(tmp_path).read_text())
+    if key == "seeds":
+        cfg["seeds"] = value
+    else:
+        cfg["scenarios"][0]["seed"] = value
+    path = tmp_path / "bad_seed.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(path), "--out", str(out)]
+              + (["--no-plots"] if command == "bench" else []))
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _clean_csv_and_tls_config(tmp_path):

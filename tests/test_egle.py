@@ -1,4 +1,4 @@
-"""Mixture-based EIV solver: sample map, noise estimates, Newton, selection."""
+"""Mixture-based EIV solver: sample map, trace objective, Newton, selection."""
 
 import warnings
 
@@ -16,12 +16,12 @@ from eiv_lpe.estimators import (
     tls_estimate,
 )
 from eiv_lpe.estimators.egle import (
+    _newton_system,
+    _trace_objective,
     egle_em_samples,
     egle_jacobian,
-    egle_noise_estimates,
     egle_stationarity,
     solve_params,
-    standardized_sse,
 )
 from eiv_lpe.line_model import EivProblem, LineParameters, build_regression
 from eiv_lpe.noise import GaussianNoise, GmmModel, apply_noise
@@ -38,6 +38,46 @@ def _eiv_instance(rng, n=60, p=3, noise=0.02, constrained=False):
         c[0, 0] = 1.0
         constraint = (c, np.array([w_true[0]]))
     return EivProblem(x + noise * rng.normal(size=(n, p)), y, constraint=constraint), w_true
+
+
+def _reference_group_terms(problem, w, y_gmm, x_gmm, labels):
+    """Per-row scaled residuals alpha and gains gamma_sig, spelled out."""
+    gamma_mu = y_gmm.means - x_gmm.means * float(w.sum())
+    gamma_sig = y_gmm.variances + x_gmm.variances * float(w @ w)
+    gs = gamma_sig[labels]
+    return (problem.y - problem.x @ w - gamma_mu[labels]) / gs, gs
+
+
+def _noise_estimates(problem, w, y_gmm, x_gmm, labels):
+    """Conditional-mean noise realizations given parameters and mixtures.
+
+    y_e = y_var * alpha + y_mu and x_e[:, j] = -w_j * x_var * alpha + x_mu,
+    with the component moments of each row's assigned group.
+    """
+    alpha, _ = _reference_group_terms(problem, w, y_gmm, x_gmm, labels)
+    y_e = y_gmm.variances[labels] * alpha + y_gmm.means[labels]
+    x_e = -np.outer(x_gmm.variances[labels] * alpha, w) + x_gmm.means[labels][:, None]
+    return y_e, x_e
+
+
+def _standardized_sse(y_e, x_e, y_gmm, x_gmm, labels):
+    """Half the squared norm of the component-standardized noise estimates."""
+    ys = (y_e - y_gmm.means[labels]) / np.sqrt(y_gmm.variances[labels])
+    xs = (x_e - x_gmm.means[labels][:, None]) / np.sqrt(x_gmm.variances[labels][:, None])
+    return 0.5 * float(ys @ ys) + 0.5 * float((xs * xs).sum())
+
+
+def _reference_stationarity(problem, w, y_gmm, x_gmm, labels):
+    alpha, _ = _reference_group_terms(problem, w, y_gmm, x_gmm, labels)
+    x_e = -np.outer(x_gmm.variances[labels] * alpha, w) + x_gmm.means[labels][:, None]
+    return (problem.x - x_e).T @ alpha
+
+
+def _reference_jacobian(problem, w, y_gmm, x_gmm, labels):
+    alpha, gs = _reference_group_terms(problem, w, y_gmm, x_gmm, labels)
+    va = x_gmm.variances[labels] * alpha
+    z = problem.x - x_gmm.means[labels][:, None] + 2.0 * np.outer(va, w)
+    return float(va @ alpha) * np.eye(w.size) - z.T @ (z / gs[:, None])
 
 
 def test_em_samples_shapes_and_values():
@@ -59,7 +99,7 @@ def test_noise_estimates_reconstruct_residual():
     w = w_true + 0.05
     gmm = GmmModel(np.array([0.4, 0.6]), np.array([-0.01, 0.02]), np.array([1e-4, 4e-4]))
     labels = rng.integers(0, 2, size=problem.y.size)
-    y_e, x_e = egle_noise_estimates(problem, w, gmm, gmm, labels)
+    y_e, x_e = _noise_estimates(problem, w, gmm, gmm, labels)
     lhs = y_e - (x_e * w).sum(axis=1)
     rhs = problem.y - problem.x @ w
     assert np.abs(lhs - rhs).max() < 1e-12
@@ -71,7 +111,11 @@ def test_standardized_sse_hand_value():
     x_e = np.array([[0.5], [4.5]])
     labels = np.zeros(2, dtype=int)
     # y terms: (0, 1); x terms: (0, 2) -> 0.5 * (1 + 4)
-    assert abs(standardized_sse(y_e, x_e, gmm, gmm, labels) - 2.5) < 1e-14
+    assert abs(_standardized_sse(y_e, x_e, gmm, gmm, labels) - 2.5) < 1e-14
+    # the closed form: gamma_mu = 0.5 - 0.5 * 1 = 0, gamma_sig = 4 + 4 * 1 = 8,
+    # so residuals (8, 16) give alpha = (1, 2) and 0.5 * (1 + 4) * 8
+    problem = EivProblem(np.array([[1.0], [2.0]]), np.array([9.0, 18.0]))
+    assert _trace_objective(problem, np.array([1.0]), gmm, gmm, labels) == 20.0
 
 
 def _random_gmm(rng, m, scale):
@@ -80,6 +124,40 @@ def _random_gmm(rng, m, scale):
         np.sort(rng.normal(0.0, scale, m)),
         rng.uniform(0.2, 2.0, m) * scale**2,
     )
+
+
+def test_trace_objective_matches_noise_estimate_oracle():
+    # 1/2 sum alpha^2 gamma_sig is the standardized SSE of the noise estimates
+    rng = np.random.default_rng(8)
+    for i in range(30):
+        m = i % 3 + 1
+        p = int(rng.integers(1, 5))
+        problem, w_true = _eiv_instance(rng, n=int(rng.integers(4, 80)), p=p, noise=0.05)
+        w = w_true + 0.1 * rng.normal(size=p)
+        y_gmm, x_gmm = _random_gmm(rng, m, 0.05), _random_gmm(rng, m, 0.05)
+        labels = rng.integers(0, m, size=problem.y.size)
+        y_e, x_e = _noise_estimates(problem, w, y_gmm, x_gmm, labels)
+        expected = _standardized_sse(y_e, x_e, y_gmm, x_gmm, labels)
+        got = _trace_objective(problem, w, y_gmm, x_gmm, labels)
+        assert abs(got - expected) <= 1e-12 * expected
+
+
+def test_newton_system_matches_reference_formulas_bit_for_bit():
+    rng = np.random.default_rng(9)
+    for i in range(20):
+        m = i % 3 + 1
+        p = int(rng.integers(1, 5))
+        problem, w_true = _eiv_instance(rng, n=int(rng.integers(4, 80)), p=p, noise=0.05)
+        w = w_true + 0.1 * rng.normal(size=p)
+        y_gmm, x_gmm = _random_gmm(rng, m, 0.05), _random_gmm(rng, m, 0.05)
+        labels = rng.integers(0, m, size=problem.y.size)
+        f, jac = _newton_system(problem, w, y_gmm, x_gmm, labels)
+        f_ref = _reference_stationarity(problem, w, y_gmm, x_gmm, labels)
+        jac_ref = _reference_jacobian(problem, w, y_gmm, x_gmm, labels)
+        assert f.tobytes() == f_ref.tobytes()
+        assert jac.tobytes() == jac_ref.tobytes()
+        assert egle_stationarity(problem, w, y_gmm, x_gmm, labels).tobytes() == f.tobytes()
+        assert egle_jacobian(problem, w, y_gmm, x_gmm, labels).tobytes() == jac.tobytes()
 
 
 def _fd_jacobian(problem, w, y_gmm, x_gmm, labels, central):

@@ -115,6 +115,9 @@ def test_scenario_from_dict_errors():
         scenario_from_dict({"label": "a", "line": {"r": -1.0, "x": 0.1, "b": 0.2}})
     with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
         scenario_from_dict({"label": "a", "line": {"r": 0.01, "x": 0.1, "b": 0.2}, "seed": -1})
+    for seed in (1.9, "7", True, None):
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            scenario_from_dict({"label": "a", "line": {"r": 0.01, "x": 0.1, "b": 0.2}, "seed": seed})
 
 
 def test_estimator_from_dict():
@@ -133,6 +136,17 @@ def test_estimator_from_dict():
                 {"method": "mtc", "max_iters": 2.5}, {"method": "egle", "seed": -1},
                 {"method": "egle", "seed": 1.5}):
         with pytest.raises(ConfigError, match="max_iters must be a positive|seed must be a non-negative"):
+            estimator_from_dict(bad)
+    # bool is an int subclass, and egle's knobs are checked like the others
+    for bad, message in (
+        ({"method": "mtc", "max_iters": True}, "max_iters must be a positive integer"),
+        ({"method": "egle", "seed": True}, "seed must be a non-negative integer"),
+        ({"method": "egle", "egle_m_max": 2.5}, "egle_m_max must be a positive integer"),
+        ({"method": "egle", "egle_m_max": False}, "egle_m_max must be a positive integer"),
+        ({"method": "egle", "egle_inner_tol": -1e-9}, "egle_inner_tol must be positive"),
+        ({"method": "egle", "egle_outer_tol": float("nan")}, "egle_outer_tol must be positive"),
+    ):
+        with pytest.raises(ConfigError, match=message):
             estimator_from_dict(bad)
 
 
@@ -184,7 +198,7 @@ def test_load_bench_config_errors(tmp_path):
         load_bench_config(_valid_config(tmp_path, estimators=[]))
     with pytest.raises(ConfigError):
         load_bench_config(_valid_config(tmp_path, seeds=[]))
-    for bad in ([0, -2], ["a"], [1.5], 3):
+    for bad in ([0, -2], ["a"], [1.5], 3, [True], [0, False]):
         with pytest.raises(ConfigError, match="seeds must be a non-empty list"):
             load_bench_config(_valid_config(tmp_path, seeds=bad))
     dup = json.loads(_valid_config(tmp_path).read_text())

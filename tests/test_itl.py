@@ -167,7 +167,7 @@ def test_mtee_stops_where_the_elementwise_oracle_stops(seed, monkeypatch):
     )
     records = generate_true_records(Scenario("oracle", ORACLE_LINE, profile, noise))
     problem = build_regression(apply_noise(records, noise, seed))
-    guess = params_to_admittance(initial_guess(ORACLE_LINE, seed)).as_array()
+    guess = params_to_admittance(initial_guess(ORACLE_LINE, seed))
     config = EstimatorConfig("mtee", w0=guess)
     res = mtee_estimate(problem, config)
     monkeypatch.setattr(itl, "_mtee_value_grad", _elementwise_value_grad)

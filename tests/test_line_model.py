@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from eiv_lpe.line_model import (
     CONSTRAINT_C,
     CONSTRAINT_F,
-    AdmittanceVector,
     EivProblem,
     LineParameters,
     PMU_DTYPE,
@@ -48,7 +47,8 @@ def test_branch_currents_open_line():
 
 
 def test_params_to_admittance_frozen():
-    w = params_to_admittance(STOCK).as_array()
+    w = params_to_admittance(STOCK)
+    assert isinstance(w, np.ndarray) and w.shape == (4,)
     expected = np.array(
         [2.926215529806551, 32.47193643128544, -2.926215529806551, -32.851936431285445]
     )
@@ -78,7 +78,7 @@ def test_admittance_round_trip_property(r, x, b):
 
 def test_admittance_inverse_uses_symmetric_part():
     # shifting y1 and y3 by the same amount keeps y1 - y3 and hence (r, x)
-    w = params_to_admittance(STOCK).as_array()
+    w = params_to_admittance(STOCK)
     shifted = w + np.array([0.1, 0.0, 0.1, 0.0])
     params = admittance_to_params(shifted)
     assert abs(params.r - STOCK.r) < 1e-12
@@ -103,11 +103,12 @@ def test_admittance_inverse_rejects_numerically_zero_series(y1, gap, y2, y4):
         admittance_to_params(np.array([y1, y2, y1 - gap, y4]))
 
 
-def test_admittance_from_array_validation():
-    with pytest.raises(ValueError):
-        AdmittanceVector.from_array(np.zeros(3))
-    with pytest.raises(ValueError):
-        AdmittanceVector.from_array(np.zeros((2, 2)))
+def test_admittance_to_params_takes_array_likes_of_shape_4():
+    w = params_to_admittance(STOCK)
+    assert admittance_to_params(w.tolist()) == admittance_to_params(w)
+    for bad in (np.zeros(3), np.zeros((2, 2))):
+        with pytest.raises(ValueError, match=r"must have shape \(4,\), got \(.*\)"):
+            admittance_to_params(bad)
 
 
 def test_line_parameters_validation():
@@ -150,7 +151,7 @@ def test_regression_exact_on_clean_records():
     vl = 0.98 + 0.02 * rng.random(40) - 1j * 0.05 * rng.random(40)
     records = simulate_records(vk, vl, STOCK)
     problem = build_regression(records)
-    w_true = params_to_admittance(STOCK).as_array()
+    w_true = params_to_admittance(STOCK)
     assert problem.x.shape == (160, 4)
     assert np.abs(problem.x @ w_true - problem.y).max() < 1e-12
 
@@ -193,5 +194,5 @@ def test_eiv_problem_validation():
     with pytest.raises(ValueError):
         EivProblem(x, y, constraint=(np.ones((2, 1)), np.zeros(2)))  # wrong f length
     ok = EivProblem(x, y, constraint=([[1.0], [0.0]], [0.5]))
-    assert ok.shape == (4, 2)
+    assert ok.x.shape == (4, 2)
     assert ok.constraint[0].shape == (2, 1)

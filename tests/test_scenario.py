@@ -73,12 +73,6 @@ def test_are_hand_values():
     assert abs(rep.r - 0.1) < 1e-12
     assert abs(rep.x - 0.1) < 1e-12
     assert abs(rep.b - 0.2) < 1e-12
-    assert rep.y is None
-    with_y = are(
-        LineParameters(0.002, 0.03, 0.5), LineParameters(0.002, 0.03, 0.5),
-        w_hat=np.array([1.1, 2.0]), w_true=np.array([1.0, 2.0]),
-    )
-    assert np.allclose(with_y.y, [0.1, 0.0], atol=1e-12)
     with pytest.raises(ValueError):
         are(LineParameters(0.002, 0.03, 0.5), LineParameters(0.0, 0.03, 0.5))
 
@@ -117,7 +111,7 @@ def test_run_scenario_reproducible_and_constrained_methods():
         else:
             assert gap > 0
     # iterative starts come from the seeded perturbed truth
-    guess = params_to_admittance(initial_guess(STOCK, 1)).as_array()
+    guess = params_to_admittance(initial_guess(STOCK, 1))
     assert np.allclose(out1[1].config.w0, guess, atol=1e-12)
 
 
@@ -138,6 +132,17 @@ def test_noiseless_run_recovers_truth():
     assert out.report.r < 1e-10
     assert out.report.x < 1e-10
     assert out.report.b < 1e-10
+
+
+def test_run_scenario_scores_a_line_with_a_zero_coefficient():
+    # b = -Im(1 / (r + jx)) makes y2 = -(b + Im y_kl) exactly zero; the
+    # scores compare (r, x, b), so a zero coefficient is no obstacle
+    line = LineParameters(0.00269, 0.0302, -(1 / complex(0.00269, 0.0302)).imag)
+    assert params_to_admittance(line)[1] == 0.0
+    sc = Scenario("y2", line, LoadRampProfile(n_records=30, angle_spread=(0.05, 0.3)), None)
+    out = run_scenario(sc, [EstimatorConfig("tls")])[0]
+    assert out.error is None
+    assert max(out.report.r, out.report.x, out.report.b) < 1e-8
 
 
 def test_stock_lines():
