@@ -74,21 +74,24 @@ def _mtee_value_grad(
     with d_ij = e_i - e_j and S = ||w||^2 + eps0^-2.  As K is symmetric,
     the moments K1 = K 1 and Ke = K e (one BLAS product per row block)
     give rs = rowsum(K*d) = e*K1 - Ke, sum K d^2 = 2 e^T rs and the cross
-    term 2 X^T rs.  e is centred first (d is shift invariant) so that
-    e*K1 - Ke does not cancel, and the diagonal K_ii = 1, which adds
-    nothing to rs, is left out of the moments so that their rounding
-    follows the other pairs.
+    term 2 X^T rs.  The moments take a centred copy of e (d is shift
+    invariant) so that e*K1 - Ke does not cancel, and the diagonal
+    K_ii = 1, which adds nothing to rs, is left out of them so that their
+    rounding follows the other pairs.  K itself takes d from the
+    uncentred e: one rounding per difference instead of three, which
+    matters in the tails, where exp turns a relative error in d into one
+    of 2 |ln K| times that in K.
     """
     x = problem.x
     n = x.shape[0]
     s = float(w @ w) + problem.eps0**-2
     root_s = math.sqrt(s)
+    raw = problem.y - x @ w
+    raw /= root_s
     basis = np.empty((2, n))
     basis[0] = 1.0
     e = basis[1]
-    np.subtract(problem.y, x @ w, out=e)
-    e /= root_s
-    e -= e.sum() / n
+    np.subtract(raw, raw.sum() / n, out=e)
     moments = np.empty((2, n))
     rows = _block_rows(n)
     block = np.empty((rows, n))
@@ -96,7 +99,7 @@ def _mtee_value_grad(
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
         k = block[: hi - lo]
-        np.subtract(e[lo:hi, None], e, out=k)
+        np.subtract(raw[lo:hi, None], raw, out=k)
         np.multiply(k, k, out=k)
         k *= coef
         np.exp(k, out=k)
