@@ -9,9 +9,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from .bench import BenchConfig, BenchReport, rows_from_csv, run_bench, write_report
 from .estimators import EstimatorError, estimate, tls_estimate
@@ -65,25 +68,47 @@ def _scenarios_from_args(args) -> list[Scenario]:
     ]
 
 
+def _write_once(files: dict[str, Path], key: str, path: Path, build) -> None:
+    """Write build()'s window to path, or copy the file first written under key."""
+    if key in files:
+        shutil.copyfile(files[key], path)
+    else:
+        write_records_csv(build(), path)
+        files[key] = path
+
+
 def cmd_generate(args) -> int:
-    """Write clean and noisy PMU CSVs plus a manifest for each scenario."""
+    """Write clean and noisy PMU CSVs plus a manifest for each scenario.
+
+    Each distinct window is built and formatted once.  A clean window is a
+    pure function of the line and the profile, a noisy one of those, the
+    noise model and the seed; a scenario that repeats an earlier one's gets
+    a copy of its file.
+    """
     _check_seed(args)
     scenarios = _scenarios_from_args(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {"schema": 1, "scenarios": []}
+    # keys are the manifest's JSON text, which tells 0.0 from -0.0 and
+    # matches mixture models by value
+    windows: dict[str, np.recarray] = {}
+    files: dict[str, Path] = {}
     for sc in scenarios:
         seed = args.seed if args.seed is not None else sc.seed
-        clean = generate_true_records(sc)
-        clean_path = out / f"{sc.label}_clean.csv"
-        write_records_csv(clean, clean_path)
         entry = scenario_to_dict(sc)
         entry["seed"] = seed
+        clean_key = json.dumps([entry["line"], entry["profile"]])
+        if clean_key not in windows:
+            windows[clean_key] = generate_true_records(sc)
+        clean = windows[clean_key]
+        clean_path = out / f"{sc.label}_clean.csv"
+        _write_once(files, clean_key, clean_path, lambda: clean)
         entry["files"] = {"clean": clean_path.name}
         if sc.noise is not None:
-            noisy = apply_noise(clean, sc.noise, seed)
             noisy_path = out / f"{sc.label}_noisy.csv"
-            write_records_csv(noisy, noisy_path)
+            noisy_key = json.dumps([entry["line"], entry["profile"], entry["noise"], seed])
+            _write_once(files, noisy_key, noisy_path, lambda: apply_noise(clean, sc.noise, seed))
             entry["files"]["noisy"] = noisy_path.name
         manifest["scenarios"].append(entry)
     with open(out / "manifest.json", "w") as fh:

@@ -36,6 +36,22 @@ def is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def checked_w0(config: EstimatorConfig, p: int) -> np.ndarray | None:
+    """A copy of config.w0 for a p-column problem, or None when it is unset.
+
+    Raises
+    ------
+    ValueError
+        If w0 does not have shape (p,).
+    """
+    if config.w0 is None:
+        return None
+    w0 = np.asarray(config.w0, dtype=float).copy()
+    if w0.shape != (p,):
+        raise ValueError(f"w0 must have shape ({p},)")
+    return w0
+
+
 class EstimatorError(RuntimeError):
     """Raised when an estimator cannot produce a solution."""
 
@@ -85,10 +101,10 @@ class EstimatorConfig:
             self.max_iters = _DEFAULT_MAX_ITERS.get(self.method, 1)
         if self.w0 is not None:
             self.w0 = np.asarray(self.w0, dtype=float)
-        if self.kernel_sigma is not None and self.kernel_sigma <= 0:
-            raise ValueError(f"kernel_sigma must be positive, got {self.kernel_sigma}")
-        if self.step is not None and self.step <= 0:
-            raise ValueError(f"step must be positive, got {self.step}")
+        for name in ("kernel_sigma", "step"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:  # NaN fails too
+                raise ValueError(f"{name} must be positive, got {value}")
         for name in ("max_iters", "egle_m_max"):
             value = getattr(self, name)
             if not is_int(value) or value < 1:

@@ -21,7 +21,14 @@ import numpy as np
 
 from ..line_model import EivProblem
 from ..noise import GmmModel, em_fit, gmm_bic
-from .config import EgleMeta, EstimateResult, EstimatorConfig, EstimatorError, Trace
+from .config import (
+    EgleMeta,
+    EstimateResult,
+    EstimatorConfig,
+    EstimatorError,
+    Trace,
+    checked_w0,
+)
 from .tls import tls_estimate
 
 __all__ = [
@@ -228,7 +235,9 @@ def egle_estimate(problem: EivProblem, config: EstimatorConfig) -> EstimateResul
     """
     start = time.perf_counter()
     n, p = problem.x.shape
-    w0 = tls_estimate(problem).w if config.w0 is None else config.w0
+    w0 = checked_w0(config, p)
+    if w0 is None:
+        w0 = tls_estimate(problem).w
     runs: dict[int, dict] = {}
     for m in range(1, config.egle_m_max + 1):
         w = w0.copy()

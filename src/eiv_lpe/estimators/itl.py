@@ -30,6 +30,7 @@ from .config import (
     EstimateResult,
     EstimatorConfig,
     Trace,
+    checked_w0,
 )
 
 __all__ = [
@@ -145,12 +146,8 @@ def _auto_step(problem: EivProblem, w0: np.ndarray, sigma: float, method: str) -
 
 
 def _start(problem: EivProblem, config: EstimatorConfig) -> np.ndarray:
-    if config.w0 is not None:
-        w0 = np.asarray(config.w0, dtype=float).copy()
-        if w0.shape != (problem.x.shape[1],):
-            raise ValueError(f"w0 must have shape ({problem.x.shape[1]},)")
-        return w0
-    return np.zeros(problem.x.shape[1])
+    w0 = checked_w0(config, problem.x.shape[1])
+    return np.zeros(problem.x.shape[1]) if w0 is None else w0
 
 
 def _guard(w: np.ndarray, method: str, iteration: int) -> None:

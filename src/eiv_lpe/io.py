@@ -72,7 +72,7 @@ def read_records_csv(path: str | Path) -> np.recarray:
     ------
     ConfigError
         If the file cannot be read, or on a missing or malformed header, no
-        records, short rows or unparseable cells.
+        records, short rows, unparseable cells or non-finite (nan, inf) cells.
     """
     try:
         with open(path) as fh:
@@ -92,7 +92,11 @@ def read_records_csv(path: str | Path) -> np.recarray:
                 raise ConfigError(f"bad PMU CSV row in {path}: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read PMU CSV {path}: {exc}") from exc
-    return values.view(PMU_DTYPE).view(np.recarray)
+    records = values.view(PMU_DTYPE).view(np.recarray)
+    finite = np.logical_and.reduce([np.isfinite(records[name]) for name in PMU_DTYPE.names[1:]])
+    if not finite.all():
+        raise ConfigError(f"non-finite cell in {path}, record {int(finite.argmin()) + 1}")
+    return records
 
 
 def read_json(path: str | Path) -> Any:
@@ -175,8 +179,12 @@ def scenario_from_dict(d: dict) -> Scenario:
             raise ValueError(f"seed must be an integer, got {seed!r}")
         if seed < 0:
             raise ValueError(f"seed must be non-negative, got {seed}")
+        label = str(d["label"])
+        # the label names output files, so it must not be a path
+        if label in ("", ".", "..") or any(c in label for c in "/\\\0"):
+            raise ValueError(f"label must be a plain file name, got {label!r}")
         return Scenario(
-            label=str(d["label"]),
+            label=label,
             line=line,
             profile=profile,
             noise=noise_from_dict(d.get("noise")),

@@ -12,12 +12,13 @@ import pytest
 
 from eiv_lpe import bench
 from eiv_lpe.bench import BenchConfig, median_iqr, rows_from_csv, run_bench
+from eiv_lpe import cli
 from eiv_lpe.cli import main
 from eiv_lpe.estimators import EstimatorConfig
-from eiv_lpe.io import load_bench_config
+from eiv_lpe.io import load_bench_config, scenario_from_dict, write_records_csv
 from eiv_lpe.line_model import LineParameters
-from eiv_lpe.noise import GaussianNoise
-from eiv_lpe.scenario import LoadRampProfile, Scenario
+from eiv_lpe.noise import GaussianNoise, apply_noise
+from eiv_lpe.scenario import LoadRampProfile, Scenario, generate_true_records
 
 STOCK = LineParameters(r=0.00269, x=0.0302, b=0.3800)
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -301,6 +302,142 @@ def test_cli_generate_without_seed_is_reproducible(tmp_path):
     assert all(entry["seed"] == 0 for entry in manifest["scenarios"])
 
 
+def _mixed_generate_config(tmp_path):
+    """Scenarios that share some windows and differ from others in one input each."""
+    line = {"r": 0.00269, "x": 0.0302, "b": 0.38}
+    profile = {"n_records": 15, "angle_spread": [0.05, 0.3]}
+    gauss = {"type": "gaussian", "mu": 0.0, "sigma": 0.002}
+    gmm = {"type": "gmm", "weights": [0.7, 0.3], "means": [0.0, 0.001],
+           "variances": [1e-6, 4e-6]}
+
+    def scenario(label, seed=0, **changes):
+        return {"label": label, "line": line, "profile": profile, "noise": gauss,
+                "seed": seed, **changes}
+
+    scenarios = [
+        scenario("a"),
+        scenario("same"),  # a repeat of a
+        scenario("seed1", seed=1),  # a's clean window, its own noise draw
+        scenario("profile", profile={**profile, "angle_spread": [0.05, 0.35]}),
+        scenario("line", line={**line, "x": 0.031}),
+        scenario("noiseless", noise=None),
+        scenario("gmm", noise=gmm),
+        scenario("gmm_again", noise=gmm),  # matched by value
+        scenario("laplace", noise={"type": "laplacian", "mu": 0.0, "scale": 0.002}),
+    ]
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(
+        {"schema": 1, "scenarios": scenarios, "estimators": [{"method": "tls"}]}
+    ))
+    return path
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(cli, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "config, seed",
+    [(False, None), (False, "4"), (True, None), (True, "2")],
+    ids=["stock", "stock-seed", "mixed", "mixed-seed"],
+)
+def test_cli_generate_matches_per_scenario_regeneration(tmp_path, config, seed):
+    # the oracle builds and writes every scenario's windows on its own
+    out, oracle = tmp_path / "out", tmp_path / "oracle"
+    oracle.mkdir()
+    argv = ["generate", "--out", str(out)]
+    if config:
+        argv += ["--config", str(_mixed_generate_config(tmp_path))]
+    if seed is not None:
+        argv += ["--seed", seed]
+    assert main(argv) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    names = ["manifest.json"]
+    for entry in manifest["scenarios"]:
+        sc = scenario_from_dict(entry)
+        assert entry["seed"] == (int(seed) if seed is not None else sc.seed)
+        clean = generate_true_records(sc)
+        write_records_csv(clean, oracle / entry["files"]["clean"])
+        names.append(entry["files"]["clean"])
+        if sc.noise is not None:
+            write_records_csv(apply_noise(clean, sc.noise, entry["seed"]), oracle / entry["files"]["noisy"])
+            names.append(entry["files"]["noisy"])
+        else:
+            assert "noisy" not in entry["files"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(names)
+    for name in names[1:]:
+        assert (out / name).read_bytes() == (oracle / name).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "config, seed, windows, files",
+    [
+        (False, None, 1, 2),
+        (False, "4", 1, 2),
+        # a, same, seed1, gmm, gmm_again and laplace share one clean window;
+        # a and same share a noisy one, and so do gmm and gmm_again
+        (True, None, 3, 9),
+        # with --seed, seed1's noisy window is a's too
+        (True, "2", 3, 8),
+    ],
+    ids=["stock", "stock-seed", "mixed", "mixed-seed"],
+)
+def test_cli_generate_builds_and_writes_each_window_once(
+    tmp_path, monkeypatch, config, seed, windows, files
+):
+    built = _count_calls(monkeypatch, "generate_true_records")
+    written = _count_calls(monkeypatch, "write_records_csv")
+    argv = ["generate", "--out", str(tmp_path / "out")]
+    if config:
+        argv += ["--config", str(_mixed_generate_config(tmp_path))]
+    if seed is not None:
+        argv += ["--seed", seed]
+    assert main(argv) == 0
+    assert len(built) == windows
+    assert len(written) == files
+    assert len({str(path) for _, path in written}) == files
+
+
+def test_cli_generate_keeps_windows_that_differ_in_seed_or_profile_apart(tmp_path):
+    out = tmp_path / "out"
+    assert main(["generate", "--config", str(_mixed_generate_config(tmp_path)),
+                 "--out", str(out)]) == 0
+
+    def data(name):
+        return (out / f"{name}.csv").read_bytes()
+
+    assert data("same_clean") == data("a_clean") and data("same_noisy") == data("a_noisy")
+    assert data("seed1_clean") == data("a_clean")
+    assert data("seed1_noisy") != data("a_noisy")
+    assert data("profile_clean") != data("a_clean")
+    assert data("profile_noisy") != data("a_noisy")
+    assert data("line_clean") != data("a_clean")
+    assert data("gmm_noisy") == data("gmm_again_noisy") != data("laplace_noisy")
+
+
+@pytest.mark.parametrize("command", ["generate", "bench"])
+@pytest.mark.parametrize("label", ["", ".", "..", "x/y", "../x", "a\\b"])
+def test_cli_rejects_a_label_that_is_not_a_file_name(tmp_path, capsys, command, label):
+    cfg = json.loads(_bench_config_json(tmp_path).read_text())
+    cfg["scenarios"][0]["label"] = label
+    path = tmp_path / "bad_label.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "run" / "out"
+    rc = main([command, "--config", str(path), "--out", str(out)]
+              + (["--no-plots"] if command == "bench" else []))
+    assert rc == 2
+    assert "label must be a plain file name" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_cli_estimate(tmp_path):
     cfg = _bench_config_json(tmp_path)
     data_dir = tmp_path / "data"
@@ -346,6 +483,9 @@ def test_cli_estimate_rejects_bad_config(tmp_path):
         ({"method": "egle", "egle_m_max": 0}, "egle_m_max must be a positive integer, got 0"),
         ({"method": "egle", "egle_outer_tol": -1}, "egle_outer_tol must be positive, got -1"),
         ({"method": "egle", "egle_inner_tol": 0}, "egle_inner_tol must be positive, got 0"),
+        # JSON's NaN fails `<= 0` but must not pass as a knob
+        ({"method": "mtc", "kernel_sigma": float("nan")}, "kernel_sigma must be positive, got nan"),
+        ({"method": "mtc", "step": float("nan")}, "step must be positive, got nan"),
     ],
 )
 def test_cli_estimate_rejects_out_of_range_knobs(tmp_path, capsys, spec, message):
@@ -455,6 +595,21 @@ def test_cli_estimate_bad_csv_row_is_config_error(tmp_path, bad_row):
         rc = main(["estimate", str(data), "--config", str(est_cfg), "--out", str(tmp_path)])
     assert rc == 2
     assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("method", ["tls", "mtc", "egle"])
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_cli_estimate_non_finite_cell_is_config_error(tmp_path, capsys, method, cell):
+    data, _ = _clean_csv_and_tls_config(tmp_path)
+    with open(data, "a", newline="") as fh:
+        fh.write(f"99,1.0,0.5,0.9,{cell},0.1,0.2,0.3,0.4\r\n")
+    est_cfg = tmp_path / "est.json"
+    est_cfg.write_text(json.dumps({"method": method}))
+    out = tmp_path / "estimates"
+    rc = main(["estimate", str(data), "--config", str(est_cfg), "--out", str(out)])
+    assert rc == 2
+    assert "non-finite cell in" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_bench_and_report(tmp_path, monkeypatch):

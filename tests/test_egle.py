@@ -13,6 +13,7 @@ from eiv_lpe.estimators import (
     cmtc_estimate,
     egle,
     egle_estimate,
+    estimate,
     tls_estimate,
 )
 from eiv_lpe.estimators.egle import (
@@ -291,6 +292,15 @@ def test_egle_all_candidates_failing_raises():
         warnings.simplefilter("ignore", UserWarning)
         with pytest.raises(EstimatorError, match="every m"):
             egle_estimate(problem, EstimatorConfig("egle", w0=np.array([0.1, -0.2])))
+
+
+@pytest.mark.parametrize("method", ["mtee", "mtc", "cmtc", "egle"])
+def test_w0_of_the_wrong_shape_is_rejected(method):
+    # egle checks w0 as the ascent methods do, before numpy's matmul would
+    rng = np.random.default_rng(8)
+    problem, _ = _eiv_instance(rng, n=40, p=4, constrained=True)
+    with pytest.raises(ValueError, match=r"^w0 must have shape \(4,\)$"):
+        estimate(problem, EstimatorConfig(method, w0=np.zeros(3)))
 
 
 def _tied_window(n_records, seed):

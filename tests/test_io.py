@@ -60,6 +60,16 @@ def test_read_records_rejects_short_row(tmp_path):
         read_records_csv(path)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_read_records_rejects_non_finite_cells(tmp_path, value):
+    records = _random_records()
+    records["ik"].imag[4] = value
+    path = tmp_path / "non_finite.csv"
+    write_records_csv(records, path)
+    with pytest.raises(ConfigError, match="non-finite cell in .*, record 5"):
+        read_records_csv(path)
+
+
 def test_noise_dict_round_trips():
     models = [
         None,
@@ -118,6 +128,10 @@ def test_scenario_from_dict_errors():
     for seed in (1.9, "7", True, None):
         with pytest.raises(ConfigError, match="seed must be an integer"):
             scenario_from_dict({"label": "a", "line": {"r": 0.01, "x": 0.1, "b": 0.2}, "seed": seed})
+    # a label names output files, so it must not be a path or a special name
+    for label in ("", ".", "..", "x/y", "../x", "a\\b", "a\0b"):
+        with pytest.raises(ConfigError, match="label must be a plain file name"):
+            scenario_from_dict({"label": label, "line": {"r": 0.01, "x": 0.1, "b": 0.2}})
 
 
 def test_estimator_from_dict():
@@ -145,6 +159,8 @@ def test_estimator_from_dict():
         ({"method": "egle", "egle_m_max": False}, "egle_m_max must be a positive integer"),
         ({"method": "egle", "egle_inner_tol": -1e-9}, "egle_inner_tol must be positive"),
         ({"method": "egle", "egle_outer_tol": float("nan")}, "egle_outer_tol must be positive"),
+        ({"method": "mtc", "kernel_sigma": float("nan")}, "kernel_sigma must be positive"),
+        ({"method": "mtc", "step": float("nan")}, "step must be positive"),
     ):
         with pytest.raises(ConfigError, match=message):
             estimator_from_dict(bad)
