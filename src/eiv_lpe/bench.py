@@ -21,7 +21,7 @@ import json
 import platform
 import warnings
 from concurrent.futures import Future, ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from xml.sax.saxutils import escape as xml_escape
 
@@ -40,11 +40,6 @@ __all__ = [
     "write_report",
     "rows_from_csv",
     "median_iqr",
-]
-
-RUNS_HEADER = [
-    "scenario", "method", "seed", "r_hat", "x_hat", "b_hat",
-    "are_r", "are_x", "are_b", "iterations", "converged", "elapsed", "error",
 ]
 
 
@@ -77,10 +72,25 @@ class RunRow:
     error: str = ""
 
 
+# runs.csv has one column per RunRow field.  Each field type maps to the
+# function that writes its cell and the one that reads the cell back.
+RUNS_HEADER = [f.name for f in fields(RunRow)]
+_RUNS_CODECS = {
+    "str": (str, str),
+    "int": (str, int),
+    "float": ("{:.12g}".format, float),
+    "bool": (lambda v: str(int(v)), lambda cell: bool(int(cell))),
+}
+
+
 @dataclass
 class BenchReport:
     rows: list[RunRow]
-    failures: int
+
+    @property
+    def failures(self) -> int:
+        """The number of cells whose row holds an error."""
+        return sum(1 for row in self.rows if row.error)
 
     def by_cell(self) -> dict[tuple[str, str], list[RunRow]]:
         cells: dict[tuple[str, str], list[RunRow]] = {}
@@ -142,7 +152,7 @@ def run_bench(config: BenchConfig) -> BenchReport:
         for (row, tr) in results
         if tr is not None
     }
-    report = BenchReport(rows, failures=sum(1 for r in rows if r.error))
+    report = BenchReport(rows)
     write_report(report, config, traces)
     return report
 
@@ -157,56 +167,40 @@ def median_iqr(values: list[float]) -> tuple[float, float]:
 
 
 def _write_runs_csv(rows: list[RunRow], path: Path) -> None:
+    columns = [(f.name, _RUNS_CODECS[f.type][0]) for f in fields(RunRow)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RUNS_HEADER)
-        for r in rows:
-            writer.writerow(
-                [
-                    r.scenario, r.method, r.seed,
-                    f"{r.r_hat:.12g}", f"{r.x_hat:.12g}", f"{r.b_hat:.12g}",
-                    f"{r.are_r:.12g}", f"{r.are_x:.12g}", f"{r.are_b:.12g}",
-                    r.iterations, int(r.converged), f"{r.elapsed:.6g}", r.error,
-                ]
-            )
+        writer.writerows([write(getattr(r, name)) for name, write in columns] for r in rows)
 
 
 def rows_from_csv(path: str | Path) -> list[RunRow]:
-    """Load per-run rows back, for report regeneration."""
-    rows: list[RunRow] = []
+    """Load per-run rows back, for report regeneration; extra columns are ignored."""
+    columns = [(f.name, _RUNS_CODECS[f.type][1]) for f in fields(RunRow)]
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            rows.append(
-                RunRow(
-                    rec["scenario"], rec["method"], int(rec["seed"]),
-                    float(rec["r_hat"]), float(rec["x_hat"]), float(rec["b_hat"]),
-                    float(rec["are_r"]), float(rec["are_x"]), float(rec["are_b"]),
-                    int(rec["iterations"]), bool(int(rec["converged"])),
-                    float(rec["elapsed"]), rec["error"],
-                )
-            )
-    return rows
+        return [
+            RunRow(**{name: read(rec[name]) for name, read in columns})
+            for rec in csv.DictReader(fh)
+        ]
+
+
+_ARE_COLUMNS = ("are_r", "are_x", "are_b")
 
 
 def _write_summary(report: BenchReport, path: Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
-            ["scenario", "method", "n_seeds", "n_failed",
-             "are_r_median", "are_r_iqr", "are_x_median", "are_x_iqr",
-             "are_b_median", "are_b_iqr", "elapsed_median"]
+            ["scenario", "method", "n_seeds", "n_failed"]
+            + [f"{col}_{stat}" for col in _ARE_COLUMNS for stat in ("median", "iqr")]
+            + ["elapsed_median"]
         )
         for (scen, method), rows in sorted(report.by_cell().items()):
             ok = [r for r in rows if not r.error]
-            mr, ir = median_iqr([r.are_r for r in ok])
-            mx, ix = median_iqr([r.are_x for r in ok])
-            mb, ib = median_iqr([r.are_b for r in ok])
-            mt, _ = median_iqr([r.elapsed for r in ok])
+            stats = [v for col in _ARE_COLUMNS for v in median_iqr([getattr(r, col) for r in ok])]
+            stats.append(median_iqr([r.elapsed for r in ok])[0])
             writer.writerow(
-                [scen, method, len(rows), len(rows) - len(ok),
-                 f"{mr:.6g}", f"{ir:.6g}", f"{mx:.6g}", f"{ix:.6g}",
-                 f"{mb:.6g}", f"{ib:.6g}", f"{mt:.6g}"]
+                [scen, method, len(rows), len(rows) - len(ok)] + [f"{v:.6g}" for v in stats]
             )
 
 
@@ -218,23 +212,14 @@ def _write_tables(report: BenchReport, scenarios: list[Scenario], out: Path) -> 
         methods = sorted({m for (s, m) in cells if s == label})
         if not methods:
             continue
+        ok = {m: [r for r in cells[(label, m)] if not r.error] for m in methods}
         with open(out / f"table_{label}.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["parameter", "true"] + methods)
-            med = {
-                m: [
-                    float(np.median([r.r_hat for r in cells[(label, m)] if not r.error] or [np.nan])),
-                    float(np.median([r.x_hat for r in cells[(label, m)] if not r.error] or [np.nan])),
-                    float(np.median([r.b_hat for r in cells[(label, m)] if not r.error] or [np.nan])),
-                    float(np.median([r.elapsed for r in cells[(label, m)] if not r.error] or [np.nan])),
-                ]
-                for m in methods
-            }
-            line = scenario.line
-            truths = [("r", f"{line.r:.6g}"), ("x", f"{line.x:.6g}"),
-                      ("b", f"{line.b:.6g}"), ("time_s", "")]
-            for i, (name, true_s) in enumerate(truths):
-                writer.writerow([name, true_s] + [f"{med[m][i]:.6g}" for m in methods])
+            for name, col in zip(("r", "x", "b", "time_s"), ("r_hat", "x_hat", "b_hat", "elapsed")):
+                true_s = "" if col == "elapsed" else f"{getattr(scenario.line, name):.6g}"
+                medians = [np.median([getattr(r, col) for r in ok[m]] or [np.nan]) for m in methods]
+                writer.writerow([name, true_s] + [f"{v:.6g}" for v in medians])
 
 
 def _trace_are_curve(trace: Trace, scenario: Scenario) -> np.ndarray:

@@ -187,15 +187,13 @@ def cmd_report(args) -> int:
     if not runs.exists():
         raise ConfigError(f"no runs.csv under {out}; run bench first")
     rows = rows_from_csv(runs)
-    report = BenchReport(rows, failures=sum(1 for r in rows if r.error))
     bench = BenchConfig(
         scenarios=cfg["scenarios"],
         estimators=cfg["estimators"],
         seeds=sorted({r.seed for r in rows}),
         output_dir=out,
-        plots=False,
     )
-    write_report(report, bench)
+    write_report(BenchReport(rows), bench)
     print(f"report rebuilt in {out}")
     return EXIT_OK
 

@@ -9,6 +9,7 @@ field; unknown schema versions are rejected.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, fields
 from itertools import chain
 from pathlib import Path
 from typing import Any
@@ -153,14 +154,8 @@ def noise_from_dict(d: dict | None) -> NoiseModel | None:
 def scenario_to_dict(s: Scenario) -> dict:
     return {
         "label": s.label,
-        "line": {"r": s.line.r, "x": s.line.x, "b": s.line.b},
-        "profile": {
-            "n_records": s.profile.n_records,
-            "vk_mag": list(s.profile.vk_mag),
-            "angle_spread": list(s.profile.angle_spread),
-            "sag_per_rad": s.profile.sag_per_rad,
-            "ref_angle": list(s.profile.ref_angle),
-        },
+        "line": asdict(s.line),
+        "profile": asdict(s.profile),
         "noise": noise_to_dict(s.noise),
         "seed": s.seed,
     }
@@ -173,31 +168,19 @@ def scenario_from_dict(d: dict) -> Scenario:
         for key in ("vk_mag", "angle_spread", "ref_angle"):
             if key in prof_d:
                 prof_d[key] = tuple(prof_d[key])
-        profile = LoadRampProfile(**prof_d)
-        seed = d.get("seed", 0)
-        if not is_int(seed):
-            raise ValueError(f"seed must be an integer, got {seed!r}")
-        if seed < 0:
-            raise ValueError(f"seed must be non-negative, got {seed}")
-        label = str(d["label"])
-        # the label names output files, so it must not be a path
-        if label in ("", ".", "..") or any(c in label for c in "/\\\0"):
-            raise ValueError(f"label must be a plain file name, got {label!r}")
         return Scenario(
-            label=label,
+            label=str(d["label"]),
             line=line,
-            profile=profile,
+            profile=LoadRampProfile(**prof_d),
             noise=noise_from_dict(d.get("noise")),
-            seed=seed,
+            seed=d.get("seed", 0),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad scenario spec: {exc}") from exc
 
 
-_ESTIMATOR_KEYS = {
-    "method", "step", "kernel_sigma", "max_iters", "tol", "seed",
-    "egle_m_max", "egle_inner_tol", "egle_outer_tol",
-}
+# every EstimatorConfig field is a config key; w0 is written only when set
+_ESTIMATOR_KEYS = {f.name for f in fields(EstimatorConfig)} - {"w0"}
 
 
 def estimator_to_dict(e: EstimatorConfig) -> dict:

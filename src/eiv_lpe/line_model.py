@@ -10,7 +10,6 @@ into a real-valued regression problem whose coefficient vector maps back to
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,8 +214,3 @@ def build_regression(
     y = np.stack([ik.real, ik.imag, il.real, il.imag], axis=1).ravel()
     constraint = (CONSTRAINT_C.copy(), CONSTRAINT_F.copy()) if with_constraint else None
     return EivProblem(x, y, constraint=constraint, eps0=eps0)
-
-
-def phasor(mag: float, angle: float) -> complex:
-    """Polar to rectangular helper."""
-    return cmath.rect(mag, angle)

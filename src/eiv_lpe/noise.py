@@ -9,6 +9,7 @@ driven by an explicit seed; no global RNG state is touched.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -54,6 +55,8 @@ class GmmModel:
         var = np.asarray(self.variances, dtype=float)
         if not (w.shape == mu.shape == var.shape) or w.ndim != 1 or w.size < 1:
             raise ValueError("weights, means, variances must be equal-length 1-d arrays")
+        if not (np.isfinite(w).all() and np.isfinite(mu).all() and np.isfinite(var).all()):
+            raise ValueError("weights, means, variances must be finite")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError(f"mixture weights must sum to 1, got {w.sum()!r}")
         if (w < 0).any():
@@ -89,8 +92,10 @@ class GaussianNoise:
     sigma: float
 
     def __post_init__(self) -> None:
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not math.isfinite(self.mu):
+            raise ValueError(f"mu must be finite, got {self.mu}")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -99,8 +104,10 @@ class LaplacianNoise:
     scale: float
 
     def __post_init__(self) -> None:
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        if not math.isfinite(self.mu):
+            raise ValueError(f"mu must be finite, got {self.mu}")
+        if not 0 < self.scale < math.inf:
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .estimators import EstimateResult, EstimatorConfig, EstimatorError, estimate
+from .estimators.config import is_int
 from .line_model import (
     CONSTRAINT_C,
     CONSTRAINT_F,
@@ -67,13 +68,16 @@ class LoadRampProfile:
     def __post_init__(self) -> None:
         if self.n_records < 1:
             raise ValueError(f"n_records must be at least 1, got {self.n_records}")
+        # each range check is written so that NaN fails it
         for d in self.angle_spread:
             # 0.6 rad is about 34 degrees, well below the steady-state
             # transfer limit but wide enough for short-window studies
-            if abs(d) > 0.6:
+            if not abs(d) <= 0.6:
                 raise ValueError(f"angle difference must stay within 0.6 rad, got {d}")
+        if not np.isfinite(self.ref_angle).all():
+            raise ValueError(f"ref_angle must be finite, got {self.ref_angle}")
         mags = np.concatenate(self._magnitudes())
-        if mags.min() < 0.9 or mags.max() > 1.1:
+        if not (mags.min() >= 0.9 and mags.max() <= 1.1):
             raise ValueError(
                 f"terminal magnitudes must stay in [0.9, 1.1], got range "
                 f"[{mags.min():.4g}, {mags.max():.4g}]"
@@ -116,6 +120,15 @@ class Scenario:
     profile: LoadRampProfile
     noise: NoiseModel | None
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if not is_int(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        # the label names output files, so it must not be a path
+        if self.label in ("", ".", "..") or any(c in self.label for c in "/\\\0"):
+            raise ValueError(f"label must be a plain file name, got {self.label!r}")
 
 
 @dataclass
@@ -190,7 +203,8 @@ def run_scenario(
     noise draw and the perturbed starting guess, so a (scenario, configs,
     seed) triple is fully reproducible.  Constrained methods (cmtc, egle)
     receive the problem with the y1 + y3 = 0 constraint attached.
-    Estimator failures are captured per entry; the run continues.
+    Estimator failures are captured per entry as "<ExceptionType>: <message>";
+    the run continues.
     """
     from .noise import apply_noise
 
@@ -213,7 +227,8 @@ def run_scenario(
             report = are(params, scenario.line)
             outcomes.append(ScenarioRun(cfg, result, report, params))
         except (EstimatorError, ValueError) as exc:
-            outcomes.append(ScenarioRun(cfg, None, None, None, error=str(exc)))
+            error = f"{type(exc).__name__}: {exc}"
+            outcomes.append(ScenarioRun(cfg, None, None, None, error=error))
     return outcomes
 
 

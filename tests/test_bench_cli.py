@@ -6,12 +6,13 @@ import os
 import platform
 import warnings
 import xml.etree.ElementTree as ET
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from eiv_lpe import bench
-from eiv_lpe.bench import BenchConfig, median_iqr, rows_from_csv, run_bench
+from eiv_lpe.bench import BenchConfig, RunRow, median_iqr, rows_from_csv, run_bench
 from eiv_lpe import cli
 from eiv_lpe.cli import main
 from eiv_lpe.estimators import EstimatorConfig
@@ -82,6 +83,23 @@ def test_run_bench_outputs(tmp_path):
     # grouping covers every row exactly once
     cells = report.by_cell()
     assert sum(len(v) for v in cells.values()) == 4
+
+
+def test_runs_csv_round_trips_every_field(tmp_path):
+    ok = RunRow("s1", "egle", 3, 0.0026901234567, 0.0302, 0.38, 1.5e-3, 2e-4, np.nan,
+                17, True, 0.125, "")
+    failed = RunRow("s1", "mtee", 4, error="DivergenceError: mtee diverged, ||w|| = inf")
+    path = tmp_path / "runs.csv"
+    bench._write_runs_csv([ok, failed], path)
+    with open(path, newline="") as fh:
+        assert next(csv.reader(fh)) == [f.name for f in fields(RunRow)]
+    back = rows_from_csv(path)
+    assert len(back) == 2
+    for row, read in zip([ok, failed], back):
+        for f in fields(RunRow):
+            a, b = getattr(row, f.name), getattr(read, f.name)
+            assert type(a) is type(b), f.name
+            assert a == b or (np.isnan(a) and np.isnan(b)), f.name
 
 
 def test_bench_plots_are_valid_and_reproducible(tmp_path):
@@ -438,6 +456,41 @@ def test_cli_rejects_a_label_that_is_not_a_file_name(tmp_path, capsys, command, 
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command", ["generate", "bench"])
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("profile", {"n_records": 12, "vk_mag": [float("nan"), 1.0]}),
+        ("profile", {"n_records": 12, "angle_spread": [0.05, float("nan")]}),
+        ("profile", {"n_records": 12, "sag_per_rad": float("nan")}),
+        ("profile", {"n_records": 12, "ref_angle": [0.0, float("inf")]}),
+        ("noise", {"type": "gaussian", "mu": 0.0, "sigma": float("nan")}),
+        ("noise", {"type": "gaussian", "mu": float("nan"), "sigma": 0.002}),
+        ("noise", {"type": "laplacian", "mu": 0.0, "scale": float("inf")}),
+        ("noise", {"type": "gmm", "weights": [float("nan"), 0.5], "means": [0.0, 0.0],
+                   "variances": [1e-6, 1e-6]}),
+        ("noise", {"type": "gmm", "weights": [0.5, 0.5], "means": [0.0, float("nan")],
+                   "variances": [1e-6, 1e-6]}),
+        ("noise", {"type": "gmm", "weights": [0.5, 0.5], "means": [0.0, 0.0],
+                   "variances": [1e-6, float("nan")]}),
+    ],
+    ids=["vk_mag", "angle_spread", "sag_per_rad", "ref_angle", "sigma", "gaussian-mu",
+         "scale", "weights", "means", "variances"],
+)
+def test_cli_rejects_non_finite_profile_and_noise(tmp_path, capsys, command, key, value):
+    # JSON's NaN and Infinity would otherwise give non-finite records
+    cfg = json.loads(_bench_config_json(tmp_path).read_text())
+    cfg["scenarios"][0][key] = value
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(path), "--out", str(out)]
+              + (["--no-plots"] if command == "bench" else []))
+    assert rc == 2
+    assert "bad scenario spec" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_estimate(tmp_path):
     cfg = _bench_config_json(tmp_path)
     data_dir = tmp_path / "data"
@@ -684,4 +737,5 @@ def test_cli_bench_total_failure_exit_code(tmp_path):
     rc = main(["bench", "--config", str(cfg), "--out", str(out), "--no-plots"])
     assert rc == 3
     rows = rows_from_csv(out / "runs.csv")
-    assert len(rows) == 1 and rows[0].error
+    assert len(rows) == 1
+    assert rows[0].error.startswith("DivergenceError: mtee diverged at iteration ")

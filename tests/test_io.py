@@ -19,7 +19,7 @@ from eiv_lpe.io import (
 )
 from eiv_lpe.line_model import PMU_DTYPE, LineParameters
 from eiv_lpe.noise import GaussianNoise, GmmModel, GmmNoise, LaplacianNoise
-from eiv_lpe.scenario import LoadRampProfile, Scenario
+from eiv_lpe.scenario import LoadRampProfile, Scenario, stock_lines
 
 
 def _random_records(n=25, seed=0):
@@ -116,6 +116,37 @@ def test_scenario_dict_round_trip():
     assert back.profile == sc.profile
     assert back.noise == sc.noise
     assert back.seed == 7
+
+
+def _hand_written_scenario_to_dict(s):
+    """scenario_to_dict as it was written out field by field, kept as the oracle."""
+    return {
+        "label": s.label,
+        "line": {"r": s.line.r, "x": s.line.x, "b": s.line.b},
+        "profile": {
+            "n_records": s.profile.n_records,
+            "vk_mag": list(s.profile.vk_mag),
+            "angle_spread": list(s.profile.angle_spread),
+            "sag_per_rad": s.profile.sag_per_rad,
+            "ref_angle": list(s.profile.ref_angle),
+        },
+        "noise": noise_to_dict(s.noise),
+        "seed": s.seed,
+    }
+
+
+def test_scenario_to_dict_matches_the_hand_written_oracle():
+    gmm = GmmNoise(GmmModel(np.array([0.7, 0.3]), np.array([0.0, 0.001]), np.array([1e-6, 4e-6])))
+    scenarios = [
+        Scenario(label, line, LoadRampProfile(), GaussianNoise(0.0, 0.005))
+        for label, line in stock_lines().items()
+    ] + [
+        Scenario("neg_zero", LineParameters(0.01, 0.1, -0.0),
+                 LoadRampProfile(n_records=7, ref_angle=(-0.0, 0.1)), gmm, seed=3),
+        Scenario("clean", LineParameters(0.01, 0.1, 0.2), LoadRampProfile(n_records=9), None),
+    ]
+    for sc in scenarios:
+        assert json.dumps(scenario_to_dict(sc)) == json.dumps(_hand_written_scenario_to_dict(sc))
 
 
 def test_scenario_from_dict_errors():

@@ -1,5 +1,7 @@
 """Pi-model mapping, branch currents and the stacked PMU regression."""
 
+from cmath import rect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,6 @@ from eiv_lpe.line_model import (
     branch_currents,
     build_regression,
     params_to_admittance,
-    phasor,
     series_admittance,
     simulate_records,
 )
@@ -33,14 +34,14 @@ def test_series_admittance_hand_value():
 
 def test_branch_currents_frozen():
     # pi model: i_end = (y + jb) v_end - y v_other, shunt b at each terminal
-    ik, il = branch_currents(phasor(1.02, 0.1), phasor(0.98, -0.05), LineParameters(0.01, 0.1, 0.2))
+    ik, il = branch_currents(rect(1.02, 0.1), rect(0.98, -0.05), LineParameters(0.01, 0.1, 0.2))
     assert abs(ik - complex(1.50857032166426, -0.00541545038245594)) < 1e-12
     assert abs(il - complex(-1.51914042148316, 0.404151351136585)) < 1e-12
 
 
 def test_branch_currents_open_line():
     # equal terminal voltages leave only the shunt current j b v
-    v = phasor(1.0, 0.3)
+    v = rect(1.0, 0.3)
     ik, il = branch_currents(v, v, LineParameters(0.01, 0.1, 0.2))
     assert abs(ik - 1j * 0.2 * v) < 1e-15
     assert abs(il - 1j * 0.2 * v) < 1e-15
@@ -118,11 +119,6 @@ def test_line_parameters_validation():
         LineParameters(0.0, 0.0, 0.2)
     with pytest.raises(ValueError):
         LineParameters(np.nan, 0.1, 0.2)
-
-
-def test_phasor():
-    assert abs(phasor(2.0, np.pi / 2) - 2j) < 1e-15
-    assert abs(phasor(1.5, 0.0) - 1.5) < 1e-15
 
 
 def test_regression_row_layout():

@@ -33,6 +33,16 @@ def test_gmm_model_validation():
         GmmModel(np.array([1.0]), np.zeros(1), np.zeros(1))  # zero variance
     with pytest.raises(ValueError):
         GmmModel(np.array([1.0]), np.zeros(2), np.ones(1))  # length mismatch
+    # NaN passes every comparison above, so finiteness is checked on its own
+    for weights, means, variances in [
+        ([np.nan, 0.5], [0.0, 1.0], [1.0, 1.0]),
+        ([0.5, 0.5], [0.0, np.nan], [1.0, 1.0]),
+        ([0.5, 0.5], [0.0, np.inf], [1.0, 1.0]),
+        ([0.5, 0.5], [0.0, 1.0], [np.nan, 1.0]),
+        ([0.5, 0.5], [0.0, 1.0], [1.0, np.inf]),
+    ]:
+        with pytest.raises(ValueError, match="must be finite"):
+            GmmModel(np.array(weights), np.array(means), np.array(variances))
 
 
 def test_gmm_model_moments():
@@ -58,6 +68,10 @@ def test_noise_model_validation():
         GaussianNoise(0.0, 0.0)
     with pytest.raises(ValueError):
         LaplacianNoise(0.0, -0.1)
+    for model in (GaussianNoise, LaplacianNoise):
+        for mu, scale in ((0.0, np.nan), (0.0, np.inf), (np.nan, 1.0), (-np.inf, 1.0)):
+            with pytest.raises(ValueError, match="must be finite|positive and finite"):
+                model(mu, scale)
 
 
 def test_sample_noise_deterministic():

@@ -7,6 +7,7 @@ the window code must match bit for bit and the writer byte for byte.
 """
 
 import tempfile
+from cmath import rect
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,6 @@ from eiv_lpe.line_model import (
     PMU_DTYPE,
     LineParameters,
     build_regression,
-    phasor,
     simulate_records,
 )
 from eiv_lpe.noise import (
@@ -55,8 +55,8 @@ def _reference_voltages(profile):
     mag_k, mag_l = profile._magnitudes()
     delta = profile.angle_spread[0] + (profile.angle_spread[1] - profile.angle_spread[0]) * frac
     ref = profile.ref_angle[0] + (profile.ref_angle[1] - profile.ref_angle[0]) * frac
-    vk = np.array([phasor(m, t) for m, t in zip(mag_k, ref)])
-    vl = np.array([phasor(m, t - d) for m, d, t in zip(mag_l, delta, ref)])
+    vk = np.array([rect(m, t) for m, t in zip(mag_k, ref)])
+    vl = np.array([rect(m, t - d) for m, d, t in zip(mag_l, delta, ref)])
     return vk, vl
 
 

@@ -32,6 +32,30 @@ def test_profile_validation():
         LoadRampProfile(vk_mag=(1.0, 1.2))  # magnitude above 1.1
     with pytest.raises(ValueError):
         LoadRampProfile(vk_mag=(1.0, 1.0), angle_spread=(0.5, 0.5), sag_per_rad=0.25)
+    # NaN and infinite inputs would otherwise only surface as non-finite records
+    for bad in (
+        {"vk_mag": (np.nan, 1.0)},
+        {"angle_spread": (0.05, np.nan)},
+        {"sag_per_rad": np.nan},
+        {"ref_angle": (0.0, np.inf)},
+        {"ref_angle": (np.nan, 0.0)},
+    ):
+        with pytest.raises(ValueError):
+            LoadRampProfile(**bad)
+
+
+def test_scenario_validation():
+    # a label names output files, and the seed seeds numpy's generator
+    profile = LoadRampProfile(n_records=12)
+    for label in ("", ".", "..", "a/b", "../x", "a\\b", "a\0b"):
+        with pytest.raises(ValueError, match="label must be a plain file name"):
+            Scenario(label, STOCK, profile, None)
+    for seed in (1.5, "7", True, None):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            Scenario("a", STOCK, profile, None, seed=seed)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        Scenario("a", STOCK, profile, None, seed=-1)
+    assert Scenario("L_64-65.v2", STOCK, profile, None, seed=np.int64(3)).seed == 3
 
 
 def test_profile_voltages_endpoints():
@@ -121,7 +145,7 @@ def test_run_scenario_captures_estimator_failures():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         outs = run_scenario(sc, configs, seed=0)
-    assert outs[0].error is not None and outs[0].result is None
+    assert outs[0].error.startswith("DivergenceError: ") and outs[0].result is None
     # the failure does not poison the remaining entries
     assert outs[1].error is None and outs[1].report.x < 0.01
 
