@@ -20,15 +20,13 @@ import csv
 import json
 import platform
 import warnings
-from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from xml.sax.saxutils import escape as xml_escape
 
 import numpy as np
 
 from .estimators import EstimatorConfig, Trace
-from .io import SCHEMA_VERSION, estimator_to_dict, scenario_to_dict
+from .io import SCHEMA_VERSION, ConfigError, estimator_to_dict, scenario_to_dict
 from .line_model import admittance_to_params
 from .scenario import Scenario, run_scenario
 
@@ -119,7 +117,7 @@ def _run_cell(args) -> tuple[RunRow, Trace | None]:
     return row, res.trace
 
 
-def _pool_result(cell, future: Future) -> tuple[RunRow, Trace | None]:
+def _pool_result(cell, future) -> tuple[RunRow, Trace | None]:
     """The cell's outcome, or a failed row if the pool could not deliver one.
 
     A worker killed outright breaks the pool: its cell and every cell not
@@ -141,6 +139,7 @@ def run_bench(config: BenchConfig) -> BenchReport:
         for seed in config.seeds
     ]
     if config.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             futures = [pool.submit(_run_cell, cell) for cell in cells]
             results = [_pool_result(cell, fut) for cell, fut in zip(cells, futures)]
@@ -175,13 +174,27 @@ def _write_runs_csv(rows: list[RunRow], path: Path) -> None:
 
 
 def rows_from_csv(path: str | Path) -> list[RunRow]:
-    """Load per-run rows back, for report regeneration; extra columns are ignored."""
+    """Load per-run rows back, for report regeneration; extra columns are ignored.
+
+    Raises ConfigError on a missing column or a cell its field cannot read.
+    """
     columns = [(f.name, _RUNS_CODECS[f.type][1]) for f in fields(RunRow)]
     with open(path, newline="") as fh:
-        return [
-            RunRow(**{name: read(rec[name]) for name, read in columns})
-            for rec in csv.DictReader(fh)
-        ]
+        reader = csv.DictReader(fh, restval="")
+        missing = [name for name in RUNS_HEADER if name not in (reader.fieldnames or ())]
+        if missing:
+            raise ConfigError(f"{path} lacks the runs.csv column(s) {missing}")
+        rows = []
+        for rec in reader:
+            values = {}
+            for name, read in columns:
+                try:
+                    values[name] = read(rec[name])
+                except ValueError:
+                    where = f"{path} line {reader.line_num}"
+                    raise ConfigError(f"{where}: cannot read {name} {rec[name]!r}") from None
+            rows.append(RunRow(**values))
+        return rows
 
 
 _ARE_COLUMNS = ("are_r", "are_x", "are_b")
@@ -231,6 +244,11 @@ def _trace_are_curve(trace: Trace, scenario: Scenario) -> np.ndarray:
         except ValueError:
             pass
     return out
+
+
+def _xml_escape(text: str) -> str:
+    """`text` with &, < and > escaped, as xml.sax.saxutils.escape does."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 _SVG_W, _SVG_H = 500, 320
@@ -285,7 +303,7 @@ def _svg_log_x_plot(iterations: np.ndarray, values: np.ndarray, title: str) -> s
         f'<text x="20" y="{mid_y}" text-anchor="middle" '
         f'transform="rotate(-90 20 {mid_y})">ARE(r)</text>\n'
         f'<text x="{mid_x}" y="22" text-anchor="middle" font-size="14">'
-        f"{xml_escape(title)}</text>\n"
+        f"{_xml_escape(title)}</text>\n"
         "</svg>\n"
     )
 

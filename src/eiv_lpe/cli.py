@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import BenchConfig, BenchReport, rows_from_csv, run_bench, write_report
 from .estimators import EstimatorError, estimate, tls_estimate
 from .io import (
     ConfigError,
@@ -158,6 +157,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_bench(args) -> int:
     """Run the configured scenario x estimator x seed grid."""
+    from .bench import BenchConfig, run_bench  # only bench and report load the harness
     _check_seed(args)
     jobs = _bench_jobs(args)
     cfg = load_bench_config(args.config)
@@ -181,6 +181,7 @@ def cmd_bench(args) -> int:
 
 def cmd_report(args) -> int:
     """Rebuild summary and tables from an existing runs.csv."""
+    from .bench import BenchConfig, BenchReport, rows_from_csv, write_report
     cfg = load_bench_config(args.config)
     out = Path(args.out or cfg["output_dir"] or "bench_out")
     runs = out / "runs.csv"

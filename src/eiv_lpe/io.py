@@ -179,16 +179,13 @@ def scenario_from_dict(d: dict) -> Scenario:
         raise ConfigError(f"bad scenario spec: {exc}") from exc
 
 
-# every EstimatorConfig field is a config key; w0 is written only when set
+# every EstimatorConfig field but w0, which only the API sets, is a config key
 _ESTIMATOR_KEYS = {f.name for f in fields(EstimatorConfig)} - {"w0"}
 
 
 def estimator_to_dict(e: EstimatorConfig) -> dict:
-    """Every knob of an estimator config; w0 only when one is set."""
-    d = {key: getattr(e, key) for key in sorted(_ESTIMATOR_KEYS)}
-    if e.w0 is not None:
-        d["w0"] = e.w0.tolist()
-    return d
+    """Every config-file knob of an estimator config (w0 is not one)."""
+    return {key: getattr(e, key) for key in sorted(_ESTIMATOR_KEYS)}
 
 
 def estimator_from_dict(d: dict) -> EstimatorConfig:

@@ -66,8 +66,8 @@ class LoadRampProfile:
     ref_angle: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self) -> None:
-        if self.n_records < 1:
-            raise ValueError(f"n_records must be at least 1, got {self.n_records}")
+        if not (is_int(self.n_records) and self.n_records >= 1):
+            raise ValueError(f"n_records must be a positive integer, got {self.n_records!r}")
         # each range check is written so that NaN fails it
         for d in self.angle_spread:
             # 0.6 rad is about 34 degrees, well below the steady-state

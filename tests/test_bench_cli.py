@@ -6,7 +6,7 @@ import os
 import platform
 import warnings
 import xml.etree.ElementTree as ET
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -17,7 +17,7 @@ from eiv_lpe import cli
 from eiv_lpe.cli import main
 from eiv_lpe.estimators import EstimatorConfig
 from eiv_lpe.io import load_bench_config, scenario_from_dict, write_records_csv
-from eiv_lpe.line_model import LineParameters
+from eiv_lpe.line_model import LineParameters, params_to_admittance
 from eiv_lpe.noise import GaussianNoise, apply_noise
 from eiv_lpe.scenario import LoadRampProfile, Scenario, generate_true_records
 
@@ -144,6 +144,27 @@ def test_bench_plots_are_valid_and_reproducible(tmp_path):
     assert run(tmp_path / "b") == first
 
 
+TITLES = ["s1 / tls", "a&b / <mtc>", "&amp; &lt;", "\"quoted\" / 'single'", "Zürich – 電力 > 1"]
+
+
+@pytest.mark.parametrize("title", TITLES)
+def test_xml_escape_matches_saxutils(title):
+    from xml.sax.saxutils import escape  # the oracle; the package does not load it
+
+    assert bench._xml_escape(title) == escape(title)
+
+
+def test_svg_title_bytes_match_the_saxutils_escape(monkeypatch):
+    from xml.sax.saxutils import escape
+
+    title = "".join(TITLES)
+    args = (np.array([1, 2, 10]), np.array([0.3, 0.2, 0.1]), title)
+    svg = bench._svg_log_x_plot(*args)
+    monkeypatch.setattr(bench, "_xml_escape", escape)
+    assert svg.encode() == bench._svg_log_x_plot(*args).encode()
+    assert ET.fromstring(svg).findall(f"{SVG_NS}text")[-1].text == title
+
+
 def test_unexpected_cell_error_does_not_abort_bench(tmp_path, monkeypatch):
     # an exception other than EstimatorError / ValueError fails its cell only
     real_run_scenario = bench.run_scenario
@@ -233,6 +254,18 @@ def test_bench_manifest_echoes_config_and_environment(tmp_path):
     loaded, original = load_bench_config(echo), load_bench_config(cfg)
     for key in ("scenarios", "estimators", "seeds"):
         assert loaded[key] == original[key]
+
+
+def test_bench_manifest_echo_loads_back_after_a_run_with_w0(tmp_path):
+    # initial guesses are an API knob: the echo keeps every config-file knob only
+    est = EstimatorConfig("mtc", w0=params_to_admittance(STOCK), max_iters=5)
+    out = tmp_path / "bench"
+    run_bench(BenchConfig([_tiny_scenario()], [est], [0], output_dir=out, plots=False))
+    manifest = json.loads((out / "bench_manifest.json").read_text())
+    assert "w0" not in manifest["config"]["estimators"][0]
+    echo = tmp_path / "echo.json"
+    echo.write_text(json.dumps(manifest["config"]))
+    assert load_bench_config(echo)["estimators"] == [replace(est, w0=None)]
 
 
 def test_summary_recomputable_from_runs(tmp_path):
@@ -601,6 +634,21 @@ def test_cli_rejects_non_integer_config_seed(tmp_path, capsys, command, key, val
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["generate", "bench"])
+@pytest.mark.parametrize("n_records", [True, 2.5, "5"])
+def test_cli_rejects_non_integer_n_records(tmp_path, capsys, command, n_records):
+    cfg = json.loads(_bench_config_json(tmp_path).read_text())
+    cfg["scenarios"][0]["profile"]["n_records"] = n_records
+    path = tmp_path / "bad_n_records.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(path), "--out", str(out)]
+              + (["--no-plots"] if command == "bench" else []))
+    assert rc == 2
+    assert f"n_records must be a positive integer, got {n_records!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _clean_csv_and_tls_config(tmp_path):
     data_dir = tmp_path / "data"
     main(["generate", "--config", str(_bench_config_json(tmp_path)), "--out", str(data_dir)])
@@ -727,6 +775,45 @@ def test_cli_report_without_runs_is_config_error(tmp_path):
     cfg = _bench_config_json(tmp_path)
     rc = main(["report", "--config", str(cfg), "--out", str(tmp_path / "empty")])
     assert rc == 2
+
+
+def _bench_runs_csv(tmp_path):
+    """A tls-only bench run: its config and runs.csv as a header and rows of cells."""
+    cfg = _bench_config_json(tmp_path, estimators=[{"method": "tls"}])
+    out = tmp_path / "bench"
+    assert main(["bench", "--config", str(cfg), "--out", str(out), "--no-plots"]) == 0
+    with open(out / "runs.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    return cfg, out, header, rows
+
+
+def _rewrite_runs_csv(out, header, rows):
+    with open(out / "runs.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+
+
+def test_cli_report_ignores_extra_runs_csv_columns(tmp_path):
+    cfg, out, header, rows = _bench_runs_csv(tmp_path)
+    before = (out / "summary.csv").read_bytes()
+    _rewrite_runs_csv(out, header + ["note"], [row + ["x"] for row in rows])
+    assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "summary.csv").read_bytes() == before
+
+
+def test_cli_report_on_runs_csv_without_a_column_is_config_error(tmp_path, capsys):
+    cfg, out, header, rows = _bench_runs_csv(tmp_path)
+    keep = [i for i, name in enumerate(header) if name != "error"]
+    _rewrite_runs_csv(out, [header[i] for i in keep], [[row[i] for i in keep] for row in rows])
+    assert main(["report", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"{out / 'runs.csv'} lacks the runs.csv column(s) ['error']" in capsys.readouterr().err
+
+
+def test_cli_report_on_an_unreadable_runs_csv_cell_is_config_error(tmp_path, capsys):
+    cfg, out, header, rows = _bench_runs_csv(tmp_path)
+    rows[1][header.index("seed")] = "one"
+    _rewrite_runs_csv(out, header, rows)
+    assert main(["report", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"{out / 'runs.csv'} line 3: cannot read seed 'one'" in capsys.readouterr().err
 
 
 def test_cli_bench_total_failure_exit_code(tmp_path):

@@ -1,6 +1,11 @@
-"""Every name a module exports in __all__ exists."""
+"""Every name a module exports in __all__ exists; imports load only what runs."""
 
 import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,3 +30,34 @@ def test_all_names_resolve(name):
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
     assert len(set(module.__all__)) == len(module.__all__)
+
+
+# What importing the CLI or the bench harness must not load: the bench harness
+# for `generate` and `estimate`, the stdlib's XML/HTTP stack that xml.sax
+# pulls in, and the process pool, which only `--jobs` > 1 needs.
+NOT_LOADED = [
+    "eiv_lpe.bench", "xml.sax", "urllib.request", "http.client", "ssl", "email",
+    "multiprocessing", "concurrent.futures.process",
+]
+_IMPORT_PROBE = """
+import json, sys
+NOT_LOADED = json.loads(sys.argv[1])
+loaded = {}
+for module in ("eiv_lpe.cli", "eiv_lpe.bench"):
+    __import__(module)
+    loaded[module] = [name for name in NOT_LOADED if name in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_cli_and_bench_imports_load_only_what_they_run():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(NOT_LOADED)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert loaded["eiv_lpe.cli"] == []
+    assert loaded["eiv_lpe.bench"] == ["eiv_lpe.bench"]

@@ -44,6 +44,14 @@ def test_profile_validation():
             LoadRampProfile(**bad)
 
 
+def test_profile_n_records_must_be_a_positive_integer():
+    # a bool, a float or a string is not a record count, as for seeds
+    for bad in (True, False, 2.5, 3.0, "5", 0, -1):
+        with pytest.raises(ValueError, match="n_records must be a positive integer"):
+            LoadRampProfile(n_records=bad)
+    assert len(LoadRampProfile(n_records=np.int64(3)).voltages()[0]) == 3
+
+
 def test_scenario_validation():
     # a label names output files, and the seed seeds numpy's generator
     profile = LoadRampProfile(n_records=12)
