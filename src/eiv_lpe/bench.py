@@ -20,13 +20,13 @@ import csv
 import json
 import platform
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .estimators import EstimatorConfig, Trace
-from .io import SCHEMA_VERSION, ConfigError, estimator_to_dict, scenario_to_dict
+from .estimators import Trace
+from .io import BenchConfig, ConfigError, bench_config_to_dict
 from .line_model import admittance_to_params
 from .scenario import Scenario, run_scenario
 
@@ -39,16 +39,6 @@ __all__ = [
     "rows_from_csv",
     "median_iqr",
 ]
-
-
-@dataclass
-class BenchConfig:
-    scenarios: list[Scenario]
-    estimators: list[EstimatorConfig]
-    seeds: list[int] = field(default_factory=lambda: [0])
-    output_dir: Path = Path("bench_out")
-    jobs: int = 1
-    plots: bool = True
 
 
 @dataclass
@@ -362,12 +352,7 @@ def write_report(
         "estimators": [e.method for e in config.estimators],
         "failures": report.failures,
         # the run's inputs in the bench config file format, and its environment
-        "config": {
-            "schema": SCHEMA_VERSION,
-            "scenarios": [scenario_to_dict(s) for s in config.scenarios],
-            "estimators": [estimator_to_dict(e) for e in config.estimators],
-            "seeds": config.seeds,
-        },
+        "config": bench_config_to_dict(config),
         "environment": {"python": platform.python_version(), "numpy": np.__version__},
     }
     with open(out / "bench_manifest.json", "w") as fh:

@@ -22,7 +22,6 @@ from .io import (
     estimator_from_dict,
     load_bench_config,
     noise_from_dict,
-    noise_to_dict,
     read_json,
     read_records_csv,
     scenario_to_dict,
@@ -58,8 +57,7 @@ def _check_seed(args) -> None:
 
 def _scenarios_from_args(args) -> list[Scenario]:
     if args.config:
-        cfg = load_bench_config(args.config)
-        return cfg["scenarios"]
+        return load_bench_config(args.config).scenarios
     noise = noise_from_dict({"type": "gaussian", "mu": 0.0, "sigma": 0.005})
     return [
         Scenario(label, line, LoadRampProfile(), noise)
@@ -123,10 +121,7 @@ def cmd_estimate(args) -> int:
     parameters there is no better generic warm start.
     """
     records = read_records_csv(args.data)
-    raw = read_json(args.config)
-    if not isinstance(raw, dict) or "method" not in raw:
-        raise ConfigError("estimator config must be an object with a 'method' key")
-    config = estimator_from_dict(raw)
+    config = estimator_from_dict(read_json(args.config))
     constrained = config.method in ("cmtc", "egle")
     problem = build_regression(records, with_constraint=constrained)
     if config.method != "tls" and config.w0 is None:
@@ -157,23 +152,18 @@ def cmd_estimate(args) -> int:
 
 def cmd_bench(args) -> int:
     """Run the configured scenario x estimator x seed grid."""
-    from .bench import BenchConfig, run_bench  # only bench and report load the harness
+    from .bench import run_bench  # only bench and report load the harness
     _check_seed(args)
-    jobs = _bench_jobs(args)
-    cfg = load_bench_config(args.config)
-    out = args.out or cfg["output_dir"] or "bench_out"
-    seeds = [args.seed] if args.seed is not None else cfg["seeds"]
-    bench = BenchConfig(
-        scenarios=cfg["scenarios"],
-        estimators=cfg["estimators"],
-        seeds=seeds,
-        output_dir=Path(out),
-        jobs=jobs,
-        plots=not args.no_plots,
-    )
-    report = run_bench(bench)
+    flags = {"jobs": _bench_jobs(args), "plots": not args.no_plots}
+    config = load_bench_config(args.config)
+    if args.out:
+        flags["output_dir"] = Path(args.out)
+    if args.seed is not None:
+        flags["seeds"] = [args.seed]
+    config = replace(config, **flags)
+    report = run_bench(config)
     total = len(report.rows)
-    print(f"{total - report.failures}/{total} cells succeeded; report in {out}")
+    print(f"{total - report.failures}/{total} cells succeeded; report in {config.output_dir}")
     if report.failures == total:
         return EXIT_FAILED
     return EXIT_OK
@@ -181,21 +171,16 @@ def cmd_bench(args) -> int:
 
 def cmd_report(args) -> int:
     """Rebuild summary and tables from an existing runs.csv."""
-    from .bench import BenchConfig, BenchReport, rows_from_csv, write_report
-    cfg = load_bench_config(args.config)
-    out = Path(args.out or cfg["output_dir"] or "bench_out")
-    runs = out / "runs.csv"
+    from .bench import BenchReport, rows_from_csv, write_report
+    config = load_bench_config(args.config)
+    if args.out:
+        config = replace(config, output_dir=Path(args.out))
+    runs = config.output_dir / "runs.csv"
     if not runs.exists():
-        raise ConfigError(f"no runs.csv under {out}; run bench first")
+        raise ConfigError(f"no runs.csv under {config.output_dir}; run bench first")
     rows = rows_from_csv(runs)
-    bench = BenchConfig(
-        scenarios=cfg["scenarios"],
-        estimators=cfg["estimators"],
-        seeds=sorted({r.seed for r in rows}),
-        output_dir=out,
-    )
-    write_report(BenchReport(rows), bench)
-    print(f"report rebuilt in {out}")
+    write_report(BenchReport(rows), replace(config, seeds=sorted({r.seed for r in rows})))
+    print(f"report rebuilt in {config.output_dir}")
     return EXIT_OK
 
 

@@ -15,7 +15,7 @@ from .config import (
 from .egle import (
     NewtonResult,
     egle_estimate,
-    egle_stationarity,
+    newton_system,
     solve_params,
 )
 from .itl import (
@@ -42,13 +42,13 @@ __all__ = [
     "estimate",
     "cmtc_estimate",
     "egle_estimate",
-    "egle_stationarity",
     "mtc_estimate",
     "mtc_gradient",
     "mtc_objective",
     "mtee_estimate",
     "mtee_gradient",
     "mtee_objective",
+    "newton_system",
     "solve_params",
     "tls_estimate",
     "tls_objective",

@@ -21,12 +21,14 @@ __all__ = [
 
 METHODS = ("tls", "mtee", "mtc", "cmtc", "egle")
 
-# Per-method default kernel widths and iteration caps.  Step sizes default to
-# None, meaning a stability-based step is derived from the problem; the fixed
-# literature values (mtee mu=0.5, mtc/cmtc eta=0.1) remain available through
-# the `step` field.
+# Per-method default kernel widths, iteration caps and stopping tolerances
+# (egle's is across outer iterations).  Step sizes default to None, meaning a
+# stability-based step is derived from the problem; the fixed literature
+# values (mtee mu=0.5, mtc/cmtc eta=0.1) remain available through the `step`
+# field.
 _DEFAULT_SIGMA = {"mtee": 0.02, "mtc": 0.05, "cmtc": 0.05}
 _DEFAULT_MAX_ITERS = {"mtee": 5_000, "mtc": 50_000, "cmtc": 50_000, "egle": 100}
+_DEFAULT_TOL = {"egle": 1e-6}
 
 DIVERGENCE_NORM = 1e6
 
@@ -71,14 +73,13 @@ class EstimatorConfig:
     step : gradient step size; None derives a stable step from the data.
     kernel_sigma : Gaussian kernel width for the entropy/correntropy methods.
     max_iters : iteration cap (outer-loop cap for egle).
-    tol : stop when the max-norm parameter update falls below this.
+    tol : stop when the max-norm parameter update falls below this (1e-6
+        for egle, 1e-10 otherwise).
     seed : drives the EM restarts inside egle; other methods ignore it.
     egle_m_max : largest mixture size tried by egle model selection.  The
         default of 2 keeps selection at the channel level; the net residual
         convolves the channel mixtures across columns and shows more modes
         than any single channel carries.
-    egle_inner_tol : Newton solve tolerance inside one egle outer step.
-    egle_outer_tol : parameter tolerance across egle outer iterations.
     """
 
     method: str
@@ -86,11 +87,9 @@ class EstimatorConfig:
     step: float | None = None
     kernel_sigma: float | None = None
     max_iters: int | None = None
-    tol: float = 1e-10
+    tol: float | None = None
     seed: int = 0
     egle_m_max: int = 2
-    egle_inner_tol: float = 1e-10
-    egle_outer_tol: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
@@ -99,9 +98,11 @@ class EstimatorConfig:
             self.kernel_sigma = _DEFAULT_SIGMA.get(self.method)
         if self.max_iters is None:
             self.max_iters = _DEFAULT_MAX_ITERS.get(self.method, 1)
+        if self.tol is None:
+            self.tol = _DEFAULT_TOL.get(self.method, 1e-10)
         if self.w0 is not None:
             self.w0 = np.asarray(self.w0, dtype=float)
-        for name in ("kernel_sigma", "step"):
+        for name in ("kernel_sigma", "step", "tol"):
             value = getattr(self, name)
             if value is not None and not value > 0:  # NaN fails too
                 raise ValueError(f"{name} must be positive, got {value}")
@@ -109,10 +110,6 @@ class EstimatorConfig:
             value = getattr(self, name)
             if not is_int(value) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        for name in ("tol", "egle_inner_tol", "egle_outer_tol"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"{name} must be positive, got {value}")
         if not is_int(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 

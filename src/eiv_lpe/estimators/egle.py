@@ -32,8 +32,7 @@ from .config import (
 from .tls import tls_estimate
 
 __all__ = [
-    "egle_stationarity",
-    "egle_jacobian",
+    "newton_system",
     "egle_em_samples",
     "solve_params",
     "NewtonResult",
@@ -41,6 +40,7 @@ __all__ = [
 ]
 
 NEWTON_MAX_ITER = 50
+NEWTON_TOL = 1e-10
 
 
 @dataclass
@@ -73,7 +73,7 @@ def _group_terms(
     return alpha, gs
 
 
-def _newton_system(
+def newton_system(
     problem: EivProblem,
     w: np.ndarray,
     y_gmm: GmmModel,
@@ -98,28 +98,6 @@ def _newton_system(
     return f, jac
 
 
-def egle_stationarity(
-    problem: EivProblem,
-    w: np.ndarray,
-    y_gmm: GmmModel,
-    x_gmm: GmmModel,
-    labels: np.ndarray,
-) -> np.ndarray:
-    """Gradient-of-likelihood system f(w) = sum_g (X_g - Xe_g)^T alpha_g."""
-    return _newton_system(problem, w, y_gmm, x_gmm, labels)[0]
-
-
-def egle_jacobian(
-    problem: EivProblem,
-    w: np.ndarray,
-    y_gmm: GmmModel,
-    x_gmm: GmmModel,
-    labels: np.ndarray,
-) -> np.ndarray:
-    """Exact Jacobian of egle_stationarity with respect to w (see _newton_system)."""
-    return _newton_system(problem, w, y_gmm, x_gmm, labels)[1]
-
-
 def _trace_objective(
     problem: EivProblem,
     w: np.ndarray,
@@ -141,15 +119,14 @@ def solve_params(
     x_gmm: GmmModel,
     labels: np.ndarray,
     w0: np.ndarray,
-    tol: float = 1e-10,
-    max_iter: int = NEWTON_MAX_ITER,
 ) -> NewtonResult:
     """Newton solve of the stationarity system for fixed mixtures.
 
-    Each step takes f and its closed-form Jacobian from one row pass.  With an
-    equality constraint C^T w = f the step solves the KKT-augmented
-    system, so every iterate after the first lies exactly on the
-    constraint set.
+    Each step takes f and its closed-form Jacobian from one row pass, and
+    the solve stops once a step's max norm is at most NEWTON_TOL, or after
+    NEWTON_MAX_ITER steps.  With an equality constraint C^T w = f the step
+    solves the KKT-augmented system, so every iterate after the first lies
+    exactly on the constraint set.
 
     Raises
     ------
@@ -164,8 +141,8 @@ def solve_params(
         c = c_mat.shape[1]
     converged = False
     iterations = 0
-    for it in range(max_iter):
-        f0, jac = _newton_system(problem, w, y_gmm, x_gmm, labels)
+    for it in range(NEWTON_MAX_ITER):
+        f0, jac = newton_system(problem, w, y_gmm, x_gmm, labels)
         try:
             if constrained:
                 kkt = np.zeros((p + c, p + c))
@@ -185,7 +162,7 @@ def solve_params(
             raise EstimatorError("non-finite Newton step")
         w = w + step
         iterations = it + 1
-        if float(np.abs(step).max()) <= tol:
+        if float(np.abs(step).max()) <= NEWTON_TOL:
             converged = True
             break
     return NewtonResult(w, iterations, converged)
@@ -219,7 +196,7 @@ def egle_estimate(problem: EivProblem, config: EstimatorConfig) -> EstimateResul
 
     Every candidate m starts from the same w0 (the TLS solution when the
     config does not provide one).  A candidate converges when the parameter
-    vector moves less than egle_outer_tol between outer iterations; EM
+    vector moves at most config.tol between outer iterations; EM
     refits after the first outer iteration warm-start from the previous
     mixtures, and updates are halved once they stop contracting (see the
     loop comment).  The winner is the candidate with the lowest combined BIC,
@@ -265,10 +242,7 @@ def egle_estimate(problem: EivProblem, config: EstimatorConfig) -> EstimateResul
                 if not ws:
                     ws.append(w)
                     sse.append(_trace_objective(problem, w, y_fit.model, x_fit.model, labels))
-                res = solve_params(
-                    problem, y_fit.model, x_fit.model, labels, w,
-                    tol=config.egle_inner_tol,
-                )
+                res = solve_params(problem, y_fit.model, x_fit.model, labels, w)
             except (EstimatorError, ValueError) as exc:
                 # em_fit rejects non-finite samples once an iterate diverges
                 failure = str(exc)
@@ -288,7 +262,7 @@ def egle_estimate(problem: EivProblem, config: EstimatorConfig) -> EstimateResul
             w = w_next
             ws.append(w)
             sse.append(_trace_objective(problem, w, y_fit.model, x_fit.model, labels))
-            if delta <= config.egle_outer_tol:
+            if delta <= config.tol:
                 converged = True
                 break
         if y_fit is not None and failure is None:

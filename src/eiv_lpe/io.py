@@ -3,13 +3,15 @@
 PMU CSVs hold `t` as `%d` and the other eight columns as `%.17g` (not `repr`:
 0.1 is written 0.10000000000000001), with CRLF line ends, so a write/read
 round trip is bit-exact.  Config files are JSON with a versioned `schema`
-field; unknown schema versions are rejected.
+field; unknown schema versions are rejected.  This module is the one owner
+of the bench config format: it reads a file into a `BenchConfig` and writes
+a `BenchConfig` back in the same layout for the bench manifest's echo.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, fields
+from dataclasses import asdict, dataclass, field, fields
 from itertools import chain
 from pathlib import Path
 from typing import Any
@@ -23,6 +25,7 @@ from .noise import GaussianNoise, GmmModel, GmmNoise, LaplacianNoise, NoiseModel
 from .scenario import LoadRampProfile, Scenario
 
 __all__ = [
+    "BenchConfig",
     "ConfigError",
     "PMU_CSV_HEADER",
     "write_records_csv",
@@ -35,6 +38,7 @@ __all__ = [
     "estimator_to_dict",
     "estimator_from_dict",
     "load_bench_config",
+    "bench_config_to_dict",
 ]
 
 SCHEMA_VERSION = 1
@@ -44,6 +48,16 @@ PMU_CSV_HEADER = ["t", "vk_re", "vk_im", "vl_re", "vl_im", "ik_re", "ik_im", "il
 
 class ConfigError(ValueError):
     """Invalid configuration or data file."""
+
+
+_JSON_KINDS = {list: "a list", dict: "an object", str: "a string"}
+
+
+def _checked(value, kind: type, what: str):
+    """`value` if it is a `kind`; a config field of the wrong JSON type is a ConfigError."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{what} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return value
 
 
 # The CSV columns viewed onto PMU_DTYPE: each complex field is its real part
@@ -163,13 +177,13 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 def scenario_from_dict(d: dict) -> Scenario:
     try:
-        line = LineParameters(**{k: float(v) for k, v in d["line"].items()})
+        line = LineParameters(**{k: float(v) for k, v in _checked(d["line"], dict, "line").items()})
         prof_d = dict(d.get("profile", {}))
         for key in ("vk_mag", "angle_spread", "ref_angle"):
             if key in prof_d:
                 prof_d[key] = tuple(prof_d[key])
         return Scenario(
-            label=str(d["label"]),
+            label=d["label"],
             line=line,
             profile=LoadRampProfile(**prof_d),
             noise=noise_from_dict(d.get("noise")),
@@ -189,7 +203,7 @@ def estimator_to_dict(e: EstimatorConfig) -> dict:
 
 
 def estimator_from_dict(d: dict) -> EstimatorConfig:
-    unknown = set(d) - _ESTIMATOR_KEYS
+    unknown = set(_checked(d, dict, "an estimator entry")) - _ESTIMATOR_KEYS
     if unknown:
         raise ConfigError(f"unknown estimator keys {sorted(unknown)}")
     try:
@@ -198,11 +212,23 @@ def estimator_from_dict(d: dict) -> EstimatorConfig:
         raise ConfigError(f"bad estimator spec {d!r}: {exc}") from exc
 
 
-def load_bench_config(path: str | Path) -> dict[str, Any]:
-    """Parse and validate a bench config file into plain objects.
+@dataclass
+class BenchConfig:
+    """One bench run: the grid of scenarios x estimators x seeds, and its outputs."""
 
-    Returns a dict with keys: scenarios (list[Scenario]), estimators
-    (list[EstimatorConfig]), seeds (list[int]), output_dir (str | None).
+    scenarios: list[Scenario]
+    estimators: list[EstimatorConfig]
+    seeds: list[int] = field(default_factory=lambda: [0])
+    output_dir: Path = Path("bench_out")
+    jobs: int = 1
+    plots: bool = True
+
+
+def load_bench_config(path: str | Path) -> BenchConfig:
+    """Parse and validate a bench config file.
+
+    `output_dir` defaults to bench_out; `jobs` and `plots` are not config
+    keys and keep their defaults.
     """
     raw = read_json(path)
     if not isinstance(raw, dict):
@@ -211,21 +237,34 @@ def load_bench_config(path: str | Path) -> dict[str, Any]:
         raise ConfigError(
             f"unsupported config schema {raw.get('schema')!r}, expected {SCHEMA_VERSION}"
         )
-    scenarios = [scenario_from_dict(s) for s in raw.get("scenarios", [])]
+    scenarios = [
+        scenario_from_dict(s) for s in _checked(raw.get("scenarios", []), list, "scenarios")
+    ]
     if not scenarios:
         raise ConfigError("config must define at least one scenario")
     labels = [s.label for s in scenarios]
     if len(set(labels)) != len(labels):
         raise ConfigError(f"scenario labels must be unique, got {labels}")
-    estimators = [estimator_from_dict(e) for e in raw.get("estimators", [])]
+    estimators = [
+        estimator_from_dict(e) for e in _checked(raw.get("estimators", []), list, "estimators")
+    ]
     if not estimators:
         raise ConfigError("config must define at least one estimator")
     seeds = raw.get("seeds", [0])
     if not (isinstance(seeds, list) and seeds and all(is_int(s) and s >= 0 for s in seeds)):
         raise ConfigError(f"seeds must be a non-empty list of non-negative integers, got {seeds!r}")
+    config = BenchConfig(scenarios, estimators, seeds)
+    output_dir = raw.get("output_dir")
+    if output_dir is not None and _checked(output_dir, str, "output_dir"):  # "" keeps the default
+        config.output_dir = Path(output_dir)
+    return config
+
+
+def bench_config_to_dict(config: BenchConfig) -> dict:
+    """The run's grid in the bench config file format, as load_bench_config reads it."""
     return {
-        "scenarios": scenarios,
-        "estimators": estimators,
-        "seeds": seeds,
-        "output_dir": raw.get("output_dir"),
+        "schema": SCHEMA_VERSION,
+        "scenarios": [scenario_to_dict(s) for s in config.scenarios],
+        "estimators": [estimator_to_dict(e) for e in config.estimators],
+        "seeds": config.seeds,
     }

@@ -188,11 +188,7 @@ def simulate_records(
     return np.rec.fromarrays([np.arange(len(vk)), vk, vl, ik, il], dtype=PMU_DTYPE)
 
 
-def build_regression(
-    records: np.recarray,
-    with_constraint: bool = False,
-    eps0: float = 1.0,
-) -> EivProblem:
+def build_regression(records: np.recarray, with_constraint: bool = False) -> EivProblem:
     """Stack a PMU record window into the 4-rows-per-record real regression.
 
     Per record, in order: Re(ik), Im(ik), Re(il), Im(il) regressed on the
@@ -213,4 +209,4 @@ def build_regression(
     ik, il = records.ik, records.il
     y = np.stack([ik.real, ik.imag, il.real, il.imag], axis=1).ravel()
     constraint = (CONSTRAINT_C.copy(), CONSTRAINT_F.copy()) if with_constraint else None
-    return EivProblem(x, y, constraint=constraint, eps0=eps0)
+    return EivProblem(x, y, constraint=constraint)

@@ -276,8 +276,8 @@ def em_fit(
     after the other.
     Passing a warm-start model via ``init`` replaces both cold starts with
     a single run from that model's parameters.  For m = 1 the closed-form
-    sample moments are returned directly.  tol is relative to the log
-    likelihood magnitude.
+    sample moments take the place of EM (``init`` is not used).  tol is
+    relative to the log likelihood magnitude.
     """
     x = np.asarray(samples, dtype=float).ravel()
     if x.size < m:
@@ -288,18 +288,13 @@ def em_fit(
         raise ValueError("samples must be finite")
 
     if m == 1:
-        mu = np.array([x.mean()])
-        var = np.maximum(np.array([x.var()]), VARIANCE_FLOOR)
-        floored = bool(x.var() < COLLAPSE_FLAG)
-        if floored:
-            warnings.warn("GMM component variance collapsed; floored at 1e-12")
-        _, log_pdf = _log_resp(x, np.array([1.0]), mu, var)
-        loglik = float(log_pdf.sum())
-        model = GmmModel(np.array([1.0]), mu, var)
-        assignment = NoiseAssignment(np.zeros(x.size, dtype=int), np.ones((x.size, 1)))
-        return EmFit(model, assignment, loglik, [loglik], 1, True, floored)
-
-    if init is not None:
+        w, mu, var = np.array([1.0]), np.array([x.mean()]), np.array([x.var()])
+        floored = bool(var[0] < COLLAPSE_FLAG)
+        var = np.maximum(var, VARIANCE_FLOOR)
+        resp = np.ones((1, x.size))
+        history = [float(_log_resp(x, w, mu, var)[1].sum())]
+        converged = True
+    elif init is not None:
         if init.m != m:
             raise ValueError(f"init has {init.m} components, expected {m}")
         w, mu, var, resp, history, converged, floored = _em_once(

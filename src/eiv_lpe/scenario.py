@@ -126,6 +126,8 @@ class Scenario:
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if not isinstance(self.label, str):
+            raise ValueError(f"label must be a string, got {self.label!r}")
         # the label names output files, so it must not be a path
         if self.label in ("", ".", "..") or any(c in self.label for c in "/\\\0"):
             raise ValueError(f"label must be a plain file name, got {self.label!r}")
@@ -185,10 +187,10 @@ def are(estimated: LineParameters, true: LineParameters) -> AreReport:
     return AreReport(**vals)
 
 
-def initial_guess(line: LineParameters, seed: int, spread: float = 0.2) -> LineParameters:
-    """Database-style starting parameters: truth times 1 +/- uniform(spread)."""
+def initial_guess(line: LineParameters, seed: int) -> LineParameters:
+    """Database-style starting parameters: truth times 1 +/- uniform(0.2)."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
-    f = 1.0 + rng.uniform(-spread, spread, size=3)
+    f = 1.0 + rng.uniform(-0.2, 0.2, size=3)
     return LineParameters(line.r * f[0], line.x * f[1], line.b * f[2])
 
 

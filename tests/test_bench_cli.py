@@ -253,7 +253,7 @@ def test_bench_manifest_echoes_config_and_environment(tmp_path):
     echo.write_text(json.dumps(manifest["config"]))
     loaded, original = load_bench_config(echo), load_bench_config(cfg)
     for key in ("scenarios", "estimators", "seeds"):
-        assert loaded[key] == original[key]
+        assert getattr(loaded, key) == getattr(original, key)
 
 
 def test_bench_manifest_echo_loads_back_after_a_run_with_w0(tmp_path):
@@ -265,7 +265,7 @@ def test_bench_manifest_echo_loads_back_after_a_run_with_w0(tmp_path):
     assert "w0" not in manifest["config"]["estimators"][0]
     echo = tmp_path / "echo.json"
     echo.write_text(json.dumps(manifest["config"]))
-    assert load_bench_config(echo)["estimators"] == [replace(est, w0=None)]
+    assert load_bench_config(echo).estimators == [replace(est, w0=None)]
 
 
 def test_summary_recomputable_from_runs(tmp_path):
@@ -524,6 +524,39 @@ def test_cli_rejects_non_finite_profile_and_noise(tmp_path, capsys, command, key
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["generate", "bench"])
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("output_dir", 5, "output_dir must be a string, got 5"),
+        ("output_dir", ["a"], "output_dir must be a string, got ['a']"),
+        ("scenarios", 5, "scenarios must be a list, got 5"),
+        ("estimators", 5, "estimators must be a list, got 5"),
+        ("line", None, "bad scenario spec: line must be an object, got None"),
+        ("line", [1, 2, 3], "bad scenario spec: line must be an object, got [1, 2, 3]"),
+        ("label", 7, "bad scenario spec: label must be a string, got 7"),
+        ("label", None, "bad scenario spec: label must be a string, got None"),
+        ("estimators", [5], "an estimator entry must be an object, got 5"),
+        ("estimators", ["tls"], "an estimator entry must be an object, got 'tls'"),
+    ],
+)
+def test_cli_rejects_a_config_field_of_the_wrong_json_type(
+    tmp_path, capsys, monkeypatch, command, key, value, message
+):
+    cfg = json.loads(_bench_config_json(tmp_path).read_text())
+    if key in ("line", "label"):
+        cfg["scenarios"][0][key] = value
+    else:
+        cfg[key] = value
+    (tmp_path / "bench.json").write_text(json.dumps(cfg))
+    # no --out: the outputs would go under the working directory
+    monkeypatch.chdir(tmp_path)
+    rc = main([command, "--config", "bench.json"] + (["--no-plots"] if command == "bench" else []))
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["bench.json"]
+
+
 def test_cli_estimate(tmp_path):
     cfg = _bench_config_json(tmp_path)
     data_dir = tmp_path / "data"
@@ -567,8 +600,9 @@ def test_cli_estimate_rejects_bad_config(tmp_path):
         ({"method": "egle", "seed": True}, "seed must be a non-negative integer, got True"),
         ({"method": "egle", "egle_m_max": 2.5}, "egle_m_max must be a positive integer, got 2.5"),
         ({"method": "egle", "egle_m_max": 0}, "egle_m_max must be a positive integer, got 0"),
-        ({"method": "egle", "egle_outer_tol": -1}, "egle_outer_tol must be positive, got -1"),
-        ({"method": "egle", "egle_inner_tol": 0}, "egle_inner_tol must be positive, got 0"),
+        ({"method": "egle", "tol": -1}, "tol must be positive, got -1"),
+        # egle stops on tol; its two former tolerances are no longer keys
+        ({"method": "egle", "egle_outer_tol": 1e-6}, "unknown estimator keys ['egle_outer_tol']"),
         # JSON's NaN fails `<= 0` but must not pass as a knob
         ({"method": "mtc", "kernel_sigma": float("nan")}, "kernel_sigma must be positive, got nan"),
         ({"method": "mtc", "step": float("nan")}, "step must be positive, got nan"),

@@ -32,9 +32,10 @@ def test_all_names_resolve(name):
     assert len(set(module.__all__)) == len(module.__all__)
 
 
-# What importing the CLI or the bench harness must not load: the bench harness
-# for `generate` and `estimate`, the stdlib's XML/HTTP stack that xml.sax
-# pulls in, and the process pool, which only `--jobs` > 1 needs.
+# What importing the config reader, the CLI or the bench harness must not
+# load: the bench harness for the reader, `generate` and `estimate`, the
+# stdlib's XML/HTTP stack that xml.sax pulls in, and the process pool, which
+# only `--jobs` > 1 needs.
 NOT_LOADED = [
     "eiv_lpe.bench", "xml.sax", "urllib.request", "http.client", "ssl", "email",
     "multiprocessing", "concurrent.futures.process",
@@ -43,7 +44,7 @@ _IMPORT_PROBE = """
 import json, sys
 NOT_LOADED = json.loads(sys.argv[1])
 loaded = {}
-for module in ("eiv_lpe.cli", "eiv_lpe.bench"):
+for module in ("eiv_lpe.io", "eiv_lpe.cli", "eiv_lpe.bench"):
     __import__(module)
     loaded[module] = [name for name in NOT_LOADED if name in sys.modules]
 print(json.dumps(loaded))
@@ -59,5 +60,6 @@ def test_cli_and_bench_imports_load_only_what_they_run():
     )
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout)
+    assert loaded["eiv_lpe.io"] == []
     assert loaded["eiv_lpe.cli"] == []
     assert loaded["eiv_lpe.bench"] == ["eiv_lpe.bench"]

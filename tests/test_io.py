@@ -1,14 +1,17 @@
 """Serialization round trips and config file validation."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from eiv_lpe.estimators import METHODS, EstimatorConfig
 from eiv_lpe.io import (
     PMU_CSV_HEADER,
     ConfigError,
     estimator_from_dict,
+    estimator_to_dict,
     load_bench_config,
     noise_from_dict,
     noise_to_dict,
@@ -163,6 +166,10 @@ def test_scenario_from_dict_errors():
     for label in ("", ".", "..", "x/y", "../x", "a\\b", "a\0b"):
         with pytest.raises(ConfigError, match="label must be a plain file name"):
             scenario_from_dict({"label": label, "line": {"r": 0.01, "x": 0.1, "b": 0.2}})
+    # nor anything but a string: 7 would name table_7.csv, null a scenario None
+    for label in (7, None):
+        with pytest.raises(ConfigError, match=f"label must be a string, got {label}"):
+            scenario_from_dict({"label": label, "line": {"r": 0.01, "x": 0.1, "b": 0.2}})
 
 
 def test_estimator_from_dict():
@@ -188,13 +195,23 @@ def test_estimator_from_dict():
         ({"method": "egle", "seed": True}, "seed must be a non-negative integer"),
         ({"method": "egle", "egle_m_max": 2.5}, "egle_m_max must be a positive integer"),
         ({"method": "egle", "egle_m_max": False}, "egle_m_max must be a positive integer"),
-        ({"method": "egle", "egle_inner_tol": -1e-9}, "egle_inner_tol must be positive"),
-        ({"method": "egle", "egle_outer_tol": float("nan")}, "egle_outer_tol must be positive"),
+        ({"method": "egle", "tol": -1e-9}, "tol must be positive"),
+        ({"method": "egle", "tol": float("nan")}, "tol must be positive"),
+        ({"method": "egle", "egle_outer_tol": 1e-6}, r"unknown estimator keys \['egle_outer_tol'\]"),
         ({"method": "mtc", "kernel_sigma": float("nan")}, "kernel_sigma must be positive"),
         ({"method": "mtc", "step": float("nan")}, "step must be positive"),
     ):
         with pytest.raises(ConfigError, match=message):
             estimator_from_dict(bad)
+
+
+def test_estimator_dict_round_trip_keeps_each_method_default():
+    for method in METHODS:
+        config = EstimatorConfig(method)
+        assert estimator_from_dict(estimator_to_dict(config)) == config
+    # tol defaults per method, and the echo writes the value the run used
+    assert estimator_to_dict(EstimatorConfig("egle"))["tol"] == 1e-6
+    assert estimator_to_dict(EstimatorConfig("mtc"))["tol"] == 1e-10
 
 
 def _valid_config(tmp_path, **overrides):
@@ -218,16 +235,16 @@ def _valid_config(tmp_path, **overrides):
 
 def test_load_bench_config_valid(tmp_path):
     cfg = load_bench_config(_valid_config(tmp_path, seeds=[0, 1, 2], output_dir="out"))
-    assert [s.label for s in cfg["scenarios"]] == ["s1"]
-    assert cfg["estimators"][0].method == "tls"
-    assert cfg["seeds"] == [0, 1, 2]
-    assert cfg["output_dir"] == "out"
+    assert [s.label for s in cfg.scenarios] == ["s1"]
+    assert cfg.estimators[0].method == "tls"
+    assert cfg.seeds == [0, 1, 2]
+    assert cfg.output_dir == Path("out")
 
 
 def test_load_bench_config_defaults_seeds(tmp_path):
     cfg = load_bench_config(_valid_config(tmp_path))
-    assert cfg["seeds"] == [0]
-    assert cfg["output_dir"] is None
+    assert cfg.seeds == [0]
+    assert cfg.output_dir == Path("bench_out")
 
 
 def test_load_bench_config_errors(tmp_path):
@@ -248,6 +265,22 @@ def test_load_bench_config_errors(tmp_path):
     for bad in ([0, -2], ["a"], [1.5], 3, [True], [0, False]):
         with pytest.raises(ConfigError, match="seeds must be a non-empty list"):
             load_bench_config(_valid_config(tmp_path, seeds=bad))
+    # a field of the wrong JSON type is a config error, not a TypeError
+    for key, bad, message in (
+        ("output_dir", 5, "output_dir must be a string, got 5"),
+        ("output_dir", ["a"], r"output_dir must be a string, got \['a'\]"),
+        ("scenarios", 5, "scenarios must be a list, got 5"),
+        ("estimators", 5, "estimators must be a list, got 5"),
+        ("scenarios", [5], "bad scenario spec: "),
+        ("estimators", [5], "an estimator entry must be an object, got 5"),
+        ("estimators", ["tls"], "an estimator entry must be an object, got 'tls'"),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            load_bench_config(_valid_config(tmp_path, **{key: bad}))
+    for line in (None, [1, 2, 3]):
+        scenario = json.loads(_valid_config(tmp_path).read_text())["scenarios"][0]
+        with pytest.raises(ConfigError, match="bad scenario spec: line must be an object"):
+            load_bench_config(_valid_config(tmp_path, scenarios=[{**scenario, "line": line}]))
     dup = json.loads(_valid_config(tmp_path).read_text())
     dup["scenarios"].append(dict(dup["scenarios"][0]))
     dup_path = tmp_path / "dup.json"

@@ -58,6 +58,9 @@ def test_scenario_validation():
     for label in ("", ".", "..", "a/b", "../x", "a\\b", "a\0b"):
         with pytest.raises(ValueError, match="label must be a plain file name"):
             Scenario(label, STOCK, profile, None)
+    for label in (7, None):
+        with pytest.raises(ValueError, match=f"label must be a string, got {label}"):
+            Scenario(label, STOCK, profile, None)
     for seed in (1.5, "7", True, None):
         with pytest.raises(ValueError, match="seed must be an integer"):
             Scenario("a", STOCK, profile, None, seed=seed)
