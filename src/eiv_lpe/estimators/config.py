@@ -38,6 +38,11 @@ def is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def is_number(value) -> bool:
+    """True for Python and NumPy integers and floats; bool and str are not numbers."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def checked_w0(config: EstimatorConfig, p: int) -> np.ndarray | None:
     """A copy of config.w0 for a p-column problem, or None when it is unset.
 
@@ -104,6 +109,8 @@ class EstimatorConfig:
             self.w0 = np.asarray(self.w0, dtype=float)
         for name in ("kernel_sigma", "step", "tol"):
             value = getattr(self, name)
+            if value is not None and not is_number(value):
+                raise ValueError(f"{name} must be a number, got {value!r}")
             if value is not None and not value > 0:  # NaN fails too
                 raise ValueError(f"{name} must be positive, got {value}")
         for name in ("max_iters", "egle_m_max"):

@@ -19,7 +19,7 @@ from typing import Any
 import numpy as np
 
 from .estimators import EstimatorConfig
-from .estimators.config import is_int
+from .estimators.config import is_int, is_number
 from .line_model import PMU_DTYPE, LineParameters
 from .noise import GaussianNoise, GmmModel, GmmNoise, LaplacianNoise, NoiseModel
 from .scenario import LoadRampProfile, Scenario
@@ -50,12 +50,12 @@ class ConfigError(ValueError):
     """Invalid configuration or data file."""
 
 
-_JSON_KINDS = {list: "a list", dict: "an object", str: "a string"}
+_JSON_KINDS = {list: "a list", dict: "an object", str: "a string", float: "a number"}
 
 
 def _checked(value, kind: type, what: str):
-    """`value` if it is a `kind`; a config field of the wrong JSON type is a ConfigError."""
-    if not isinstance(value, kind):
+    """`value` if it is a `kind` (float: any number but a bool); else a ConfigError."""
+    if not (is_number(value) if kind is float else isinstance(value, kind)):
         raise ConfigError(f"{what} must be {_JSON_KINDS[kind]}, got {value!r}")
     return value
 
@@ -149,15 +149,14 @@ def noise_from_dict(d: dict | None) -> NoiseModel | None:
     try:
         kind = d["type"]
         if kind == "gaussian":
-            return GaussianNoise(float(d["mu"]), float(d["sigma"]))
+            return GaussianNoise(*(float(_checked(d[k], float, k)) for k in ("mu", "sigma")))
         if kind == "laplacian":
-            return LaplacianNoise(float(d["mu"]), float(d["scale"]))
+            return LaplacianNoise(*(float(_checked(d[k], float, k)) for k in ("mu", "scale")))
         if kind == "gmm":
             return GmmNoise(
                 GmmModel(
-                    np.asarray(d["weights"], dtype=float),
-                    np.asarray(d["means"], dtype=float),
-                    np.asarray(d["variances"], dtype=float),
+                    *(np.asarray([_checked(v, float, f"each {k} value") for v in d[k]], dtype=float)
+                      for k in ("weights", "means", "variances"))
                 )
             )
     except (KeyError, TypeError, ValueError) as exc:
@@ -177,11 +176,13 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 def scenario_from_dict(d: dict) -> Scenario:
     try:
-        line = LineParameters(**{k: float(v) for k, v in _checked(d["line"], dict, "line").items()})
+        line_d = _checked(d["line"], dict, "line")
+        line = LineParameters(**{k: float(_checked(v, float, k)) for k, v in line_d.items()})
         prof_d = dict(d.get("profile", {}))
         for key in ("vk_mag", "angle_spread", "ref_angle"):
             if key in prof_d:
-                prof_d[key] = tuple(prof_d[key])
+                prof_d[key] = tuple(_checked(v, float, f"each {key} value") for v in prof_d[key])
+        _checked(prof_d.get("sag_per_rad", 0.0), float, "sag_per_rad")
         return Scenario(
             label=d["label"],
             line=line,

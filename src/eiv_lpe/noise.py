@@ -34,11 +34,14 @@ __all__ = [
 VARIANCE_FLOOR = 1e-12
 COLLAPSE_FLAG = 1e-14
 
-# Cold fits on this many samples or more run their two EM starts on two
-# threads.  Serial/threaded wall time of a cold m = 2 em_fit on 2 cores
-# (medians of 7 interleaved runs, two sets): 0.94-0.96 at 4,096 samples,
-# 0.98-1.18 at 8,192, 1.25-1.60 at 16,384, 1.83-1.87 at 32,768.
-EM_THREAD_MIN_SAMPLES = 1 << 14
+# Fits on this many samples or more take NumPy's pairwise M-step sums and run
+# their two cold EM starts on two threads; smaller ones keep the left-to-right
+# sums that criterion 3's printed egle medians follow (at 2**12 criterion 4's
+# seed-4 estimate already moves).  Cold m = 2 fits of egle's x samples at the
+# TLS w, 2 cores, medians of 5 runs: serial/threaded time 1.00-1.18 at 16,384
+# samples and 1.70-1.72 at 32,000; threaded 0.18-0.33 s and 0.42-0.45 s,
+# against 0.31-0.44 s and 0.73-0.75 s with left-to-right sums.
+EM_LARGE_FIT_SAMPLES = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,18 +207,18 @@ def _log_resp(x: np.ndarray, w: np.ndarray, mu: np.ndarray, var: np.ndarray):
 
 
 def _row_sums(a: np.ndarray) -> np.ndarray:
-    """Sum each row of `a` left to right, starting from 0.
+    """The M-step sum of each row of `a`, in an order chosen by the row length.
 
-    That is the order in which ``.sum(axis=0)`` reduces a C-ordered (n, m)
-    array, one sample after another.  The pairwise ``a.sum(axis=1)`` and
-    ``resp @ x`` round differently, and EM's hard labels and iteration
-    counts follow those bits.  Adding 0.0 turns an all-(-0.0) row into
-    0.0, as the reduction from 0 does.  Each row is accumulated on its
-    own because the 2-D ``np.cumsum(a, axis=1)`` holds the GIL, which
-    keeps em_fit's two starts from overlapping on two threads; the 1-D
-    accumulate releases it and gives the same bits.
+    Rows shorter than ``EM_LARGE_FIT_SAMPLES`` are summed left to right from
+    0, the order in which ``.sum(axis=0)`` reduces a C-ordered (n, m) array,
+    so those fits keep the (n, m) layout's bits, which EM's hard labels and
+    iteration counts follow.  Longer rows take NumPy's pairwise sum, about
+    eight times faster and more accurate (Higham 1993).  Adding 0.0 turns an
+    all-(-0.0) row into 0.0, as the reduction from 0 does.
     """
-    return np.array([np.add.accumulate(row)[-1] for row in a]) + 0.0
+    if a.shape[1] >= EM_LARGE_FIT_SAMPLES:
+        return a.sum(axis=1) + 0.0
+    return np.add.accumulate(a, axis=1)[:, -1] + 0.0
 
 
 def _em_once(
@@ -271,9 +274,10 @@ def em_fit(
     pooled sample variance, uniform weights.  One additional restart with
     seed-perturbed means is run, and it wins only with a strictly higher
     final log likelihood: a tie or a NaN keeps the quantile start.  On
-    ``EM_THREAD_MIN_SAMPLES`` samples or more the two starts run at once,
+    ``EM_LARGE_FIT_SAMPLES`` samples or more the two starts run at once,
     the perturbed one on a helper thread, with the same results as one
-    after the other.
+    after the other, and the M-step sums are pairwise: those fits match the
+    (n, m) layout to rounding, smaller ones bit for bit (see _row_sums).
     Passing a warm-start model via ``init`` replaces both cold starts with
     a single run from that model's parameters.  For m = 1 the closed-form
     sample moments take the place of EM (``init`` is not used).  tol is
@@ -316,7 +320,7 @@ def em_fit(
         def run(mu0):
             return _em_once(x, w0.copy(), mu0.astype(float).copy(), var0.copy(), tol, max_iter)
 
-        if x.size >= EM_THREAD_MIN_SAMPLES:
+        if x.size >= EM_LARGE_FIT_SAMPLES:
             import contextvars
             from concurrent.futures import ThreadPoolExecutor
 

@@ -538,6 +538,8 @@ def test_cli_rejects_non_finite_profile_and_noise(tmp_path, capsys, command, key
         ("label", None, "bad scenario spec: label must be a string, got None"),
         ("estimators", [5], "an estimator entry must be an object, got 5"),
         ("estimators", ["tls"], "an estimator entry must be an object, got 'tls'"),
+        ("line", {"r": "0.01", "x": 0.03, "b": 0.38},
+         "bad scenario spec: r must be a number, got '0.01'"),
     ],
 )
 def test_cli_rejects_a_config_field_of_the_wrong_json_type(
@@ -606,6 +608,8 @@ def test_cli_estimate_rejects_bad_config(tmp_path):
         # JSON's NaN fails `<= 0` but must not pass as a knob
         ({"method": "mtc", "kernel_sigma": float("nan")}, "kernel_sigma must be positive, got nan"),
         ({"method": "mtc", "step": float("nan")}, "step must be positive, got nan"),
+        # a number given as a JSON boolean or string is not one
+        ({"method": "mtc", "tol": True}, "tol must be a number, got True"),
     ],
 )
 def test_cli_estimate_rejects_out_of_range_knobs(tmp_path, capsys, spec, message):

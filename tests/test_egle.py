@@ -22,9 +22,10 @@ from eiv_lpe.estimators.egle import (
     newton_system,
     solve_params,
 )
+from eiv_lpe import noise
 from eiv_lpe.line_model import EivProblem, LineParameters, build_regression
 from eiv_lpe.noise import GaussianNoise, GmmModel, apply_noise
-from eiv_lpe.scenario import LoadRampProfile, Scenario, generate_true_records
+from eiv_lpe.scenario import LoadRampProfile, Scenario, generate_true_records, run_scenario
 
 
 def _eiv_instance(rng, n=60, p=3, noise=0.02, constrained=False):
@@ -242,6 +243,36 @@ def test_egle_estimate_near_truth_and_meta():
     # constrained output lands on the constraint set
     c, f_vec = problem.constraint
     assert abs((c.T @ res.w).item() - f_vec.item()) < 1e-10
+
+
+def test_egle_estimate_on_a_long_window_does_not_move_with_pairwise_sums(monkeypatch):
+    # criterion 2's shape on 1,024 records: the x fits have 16 * 1,024 = 2**14
+    # samples, so they sum pairwise, and the reported candidate is m = 1
+    scenario = Scenario(
+        "long", LineParameters(r=0.00269, x=0.0302, b=0.38),
+        LoadRampProfile(n_records=1024, vk_mag=(1.00, 1.02), angle_spread=(0.04, 0.24),
+                        sag_per_rad=0.05),
+        GaussianNoise(0.0, 0.005),
+    )
+
+    def run():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            (out,) = run_scenario(scenario, [EstimatorConfig("egle")], seed=0)
+        return out.result
+
+    res = run()
+    # above every sample count, the constant gives left-to-right sums everywhere
+    monkeypatch.setattr(noise, "EM_LARGE_FIT_SAMPLES", 1 << 30)
+    ref = run()
+    meta, ref_meta = res.egle_meta, ref.egle_meta
+    assert meta.m_star == ref_meta.m_star == 1
+    assert res.w.tobytes() == ref.w.tobytes()
+    assert res.trace.w.tobytes() == ref.trace.w.tobytes()
+    assert res.trace.objective.tobytes() == ref.trace.objective.tobytes()
+    assert meta.outer_iters_by_m == ref_meta.outer_iters_by_m
+    assert meta.bic_by_m[1] == ref_meta.bic_by_m[1]
+    assert meta.bic_by_m[2] == pytest.approx(ref_meta.bic_by_m[2], rel=1e-9, abs=0)
 
 
 def test_egle_keeps_other_candidates_when_em_fails(monkeypatch):

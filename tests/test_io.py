@@ -1,6 +1,7 @@
 """Serialization round trips and config file validation."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +103,21 @@ def test_noise_from_dict_errors():
         noise_from_dict({"type": "gaussian", "mu": 0.0})  # missing sigma
     with pytest.raises(ConfigError):
         noise_from_dict({"type": "gaussian", "mu": 0.0, "sigma": -1.0})
+    # a number must be a JSON number: float() would read "0.005" and false
+    gmm = {"type": "gmm", "weights": [0.5, 0.5], "means": [0.0, 0.01], "variances": [1e-6, 1e-6]}
+    for bad, message in (
+        ({"type": "gaussian", "mu": False, "sigma": 0.005}, "mu must be a number, got False"),
+        ({"type": "gaussian", "mu": 0.0, "sigma": "0.005"}, "sigma must be a number, got '0.005'"),
+        ({"type": "laplacian", "mu": 0.0, "scale": True}, "scale must be a number, got True"),
+        ({**gmm, "weights": [True, 0.0]}, "each weights value must be a number, got True"),
+        ({**gmm, "means": [0.0, "0.01"]}, "each means value must be a number, got '0.01'"),
+        ({**gmm, "variances": [1e-6, None]}, "each variances value must be a number, got None"),
+    ):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            noise_from_dict(bad)
+    # ints and numpy reals are numbers
+    loaded = noise_from_dict({"type": "gaussian", "mu": 0, "sigma": np.float64(0.5)})
+    assert loaded == GaussianNoise(0.0, 0.5)
 
 
 def test_scenario_dict_round_trip():
@@ -170,6 +186,20 @@ def test_scenario_from_dict_errors():
     for label in (7, None):
         with pytest.raises(ConfigError, match=f"label must be a string, got {label}"):
             scenario_from_dict({"label": label, "line": {"r": 0.01, "x": 0.1, "b": 0.2}})
+    # line and profile numbers must be JSON numbers, not strings or booleans
+    line = {"r": 0.01, "x": 0.1, "b": 0.2}
+    for line_d, profile, message in (
+        ({"r": "0.01", "x": 0.1, "b": 0.2}, {}, "r must be a number, got '0.01'"),
+        ({"r": 0.01, "x": True, "b": 0.2}, {}, "x must be a number, got True"),
+        (line, {"vk_mag": [True, 1.02]}, "each vk_mag value must be a number, got True"),
+        (line, {"angle_spread": [0.1, "0.2"]},
+         "each angle_spread value must be a number, got '0.2'"),
+        (line, {"sag_per_rad": "0.05"}, "sag_per_rad must be a number, got '0.05'"),
+        (line, {"sag_per_rad": False}, "sag_per_rad must be a number, got False"),
+        (line, {"ref_angle": [0.0, None]}, "each ref_angle value must be a number, got None"),
+    ):
+        with pytest.raises(ConfigError, match=re.escape(f"bad scenario spec: {message}")):
+            scenario_from_dict({"label": "a", "line": line_d, "profile": profile})
 
 
 def test_estimator_from_dict():
@@ -200,9 +230,18 @@ def test_estimator_from_dict():
         ({"method": "egle", "egle_outer_tol": 1e-6}, r"unknown estimator keys \['egle_outer_tol'\]"),
         ({"method": "mtc", "kernel_sigma": float("nan")}, "kernel_sigma must be positive"),
         ({"method": "mtc", "step": float("nan")}, "step must be positive"),
+        ({"method": "mtc", "tol": True}, "tol must be a number, got True"),
+        ({"method": "egle", "tol": "1e-6"}, "tol must be a number, got '1e-6'"),
+        ({"method": "mtc", "kernel_sigma": False}, "kernel_sigma must be a number, got False"),
+        ({"method": "mtee", "step": "0.5"}, "step must be a number, got '0.5'"),
     ):
         with pytest.raises(ConfigError, match=message):
             estimator_from_dict(bad)
+    # the same checks from the API, where they are ValueErrors
+    for name in ("tol", "kernel_sigma", "step"):
+        with pytest.raises(ValueError, match=f"^{name} must be a number, got True$"):
+            EstimatorConfig("mtc", **{name: True})
+    assert EstimatorConfig("mtc", tol=1, step=np.float32(0.5)).tol == 1
 
 
 def test_estimator_dict_round_trip_keeps_each_method_default():

@@ -204,9 +204,11 @@ def test_gmm_bic_hand_value():
 
 # --- oracle: the EM kernel in the (n, m) layout -------------------------------
 # em_fit lays responsibilities out as (m, n) and sums the M-step rows left to
-# right.  The (n, m) kernel below is the reference it must match bit for bit:
-# a different summation order (pairwise sums, a matrix product) moves the
-# hard labels and iteration counts that egle's results follow.
+# right below EM_LARGE_FIT_SAMPLES samples.  The (n, m) kernel below is the
+# reference those fits must match bit for bit: a different summation order
+# (pairwise sums, a matrix product) moves the hard labels and iteration
+# counts that egle's results follow.  Larger fits sum pairwise and match it
+# to rounding.
 
 
 def _reference_log_resp(x, w, mu, var):
@@ -336,7 +338,32 @@ def test_em_loglik_never_decreases(kind, m, n, seed, warm):
     assert (np.diff(hist) >= -1e-12 * np.abs(hist[:-1]).clip(min=1.0)).all()
 
 
-# --- the two cold starts: exact row sums and the helper thread -----------------
+@pytest.mark.parametrize("size", [noise.EM_LARGE_FIT_SAMPLES - 1, noise.EM_LARGE_FIT_SAMPLES])
+def test_large_em_fit_matches_nm_layout_to_rounding(size):
+    # a well-separated sample, so that both orders take the same EM steps
+    rng = np.random.default_rng(12)
+    x = np.concatenate([rng.normal(-1.0, 0.3, size // 3), rng.normal(2.0, 0.5, size - size // 3)])
+    fit = em_fit(x, 2, seed=5, max_iter=30)
+    with mock.patch.object(noise, "_em_once", _reference_em_once):
+        ref = em_fit(x, 2, seed=5, max_iter=30)
+    assert (fit.n_iter, fit.converged) == (ref.n_iter, ref.converged)
+    assert fit.converged and fit.n_iter > 5
+    if size < noise.EM_LARGE_FIT_SAMPLES:
+        for name in ("weights", "means", "variances"):
+            assert _same_bits(getattr(fit.model, name), getattr(ref.model, name))
+        assert fit.loglik_history == ref.loglik_history
+        assert _same_bits(fit.assignment.responsibilities, ref.assignment.responsibilities)
+    else:
+        for name in ("weights", "means", "variances"):
+            got, want = getattr(fit.model, name), getattr(ref.model, name)
+            np.testing.assert_allclose(got, want, rtol=1e-10)
+        np.testing.assert_allclose(fit.loglik_history, ref.loglik_history, rtol=1e-12)
+    assert _same_bits(fit.assignment.labels, ref.assignment.labels)
+
+
+# --- the two cold starts: row sums and the helper thread ----------------------
+
+_LARGE = np.random.default_rng(7).lognormal(size=(2, noise.EM_LARGE_FIT_SAMPLES)) * [[1.0], [1e-8]]
 
 
 @pytest.mark.parametrize(
@@ -347,11 +374,20 @@ def test_em_loglik_never_decreases(kind, m, n, seed, warm):
         np.random.default_rng(6).lognormal(size=(3, 257)) * [[1.0], [1e-8], [1e8]],
         np.array([[0.25], [-1.5]]),
         np.array([[-0.0, -0.0, -0.0], [-0.0, 1.0, -0.0]]),
+        _LARGE[:, 1:],
+        _LARGE,
     ],
-    ids=["m1", "m2", "m3", "n1", "negative-zero"],
+    ids=["m1", "m2", "m3", "n1", "negative-zero", "below-large", "large"],
 )
 def test_row_sums_match_2d_cumsum_byte_for_byte(a):
-    assert _same_bits(noise._row_sums(a), np.cumsum(a, axis=1)[:, -1] + 0.0)
+    left_to_right = np.cumsum(a, axis=1)[:, -1] + 0.0
+    got = noise._row_sums(a)
+    if a.shape[1] < noise.EM_LARGE_FIT_SAMPLES:
+        assert _same_bits(got, left_to_right)
+    else:
+        # numpy's pairwise sum, which this array tells apart from the serial one
+        assert _same_bits(got, a.sum(axis=1) + 0.0)
+        assert not _same_bits(got, left_to_right)
 
 
 def _reference_cold_em_fit(x, m, seed, tol, max_iter):
@@ -375,10 +411,10 @@ def _reference_cold_em_fit(x, m, seed, tol, max_iter):
     return (w / w.sum(), mu, var), history, len(history), resp.argmax(axis=0), resp.T
 
 
-@pytest.mark.parametrize("size", [noise.EM_THREAD_MIN_SAMPLES, noise.EM_THREAD_MIN_SAMPLES - 1])
+@pytest.mark.parametrize("size", [noise.EM_LARGE_FIT_SAMPLES, noise.EM_LARGE_FIT_SAMPLES - 1])
 @pytest.mark.parametrize("seed", [0, 7])
 def test_cold_em_fit_matches_serial_two_start_loop(size, seed):
-    x = _oracle_samples("egle", noise.EM_THREAD_MIN_SAMPLES // 4, seed)[:size]
+    x = _oracle_samples("egle", noise.EM_LARGE_FIT_SAMPLES // 4, seed)[:size]
     fit = em_fit(x, 2, seed=seed, max_iter=30)
     model, history, n_iter, labels, resp = _reference_cold_em_fit(x, 2, seed, 1e-9, 30)
     for name, want in zip(("weights", "means", "variances"), model):
@@ -388,7 +424,7 @@ def test_cold_em_fit_matches_serial_two_start_loop(size, seed):
     assert _same_bits(fit.assignment.responsibilities, resp)
 
 
-@pytest.mark.parametrize("size", [noise.EM_THREAD_MIN_SAMPLES, noise.EM_THREAD_MIN_SAMPLES - 1])
+@pytest.mark.parametrize("size", [noise.EM_LARGE_FIT_SAMPLES, noise.EM_LARGE_FIT_SAMPLES - 1])
 @pytest.mark.parametrize(
     "second, perturbed_wins",
     [(-5.0, False), (-4.0, True), (np.nan, False)],
@@ -411,7 +447,7 @@ def test_cold_start_selection_and_helper_thread(size, second, perturbed_wins):
     assert fit.loglik_history[-1] == (second if perturbed_wins else -5.0)
     # the quantile start runs in the caller; the perturbed one runs on a
     # helper thread for large fits, under the caller's np.errstate
-    threaded = size >= noise.EM_THREAD_MIN_SAMPLES
+    threaded = size >= noise.EM_LARGE_FIT_SAMPLES
     by_start = {start: (ident, over) for start, ident, over in calls}
     assert by_start[True] == (threading.get_ident(), "raise")
     assert (by_start[False][0] != threading.get_ident()) == threaded
@@ -419,7 +455,7 @@ def test_cold_start_selection_and_helper_thread(size, second, perturbed_wins):
 
 
 def test_cold_start_helper_error_propagates():
-    x = np.linspace(-1.0, 1.0, noise.EM_THREAD_MIN_SAMPLES)
+    x = np.linspace(-1.0, 1.0, noise.EM_LARGE_FIT_SAMPLES)
     quantiles = np.quantile(x, [0.25, 0.75])
 
     def fake_em_once(x, w, mu, var, tol, max_iter):
