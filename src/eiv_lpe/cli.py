@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .estimators import EstimatorError, estimate, tls_estimate
+from .estimators.config import CONSTRAINED_METHODS
 from .io import (
     ConfigError,
     estimator_from_dict,
@@ -122,8 +123,7 @@ def cmd_estimate(args) -> int:
     """
     records = read_records_csv(args.data)
     config = estimator_from_dict(read_json(args.config))
-    constrained = config.method in ("cmtc", "egle")
-    problem = build_regression(records, with_constraint=constrained)
+    problem = build_regression(records, with_constraint=config.method in CONSTRAINED_METHODS)
     if config.method != "tls" and config.w0 is None:
         config = replace(config, w0=tls_estimate(problem).w)
     result = estimate(problem, config)

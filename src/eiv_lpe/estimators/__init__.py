@@ -6,6 +6,7 @@ from ..line_model import EivProblem
 from .config import (
     METHODS,
     DivergenceError,
+    EgleCandidate,
     EgleMeta,
     EstimateResult,
     EstimatorConfig,
@@ -33,6 +34,7 @@ from .tls import tls_estimate, tls_objective
 __all__ = [
     "METHODS",
     "DivergenceError",
+    "EgleCandidate",
     "EgleMeta",
     "EstimateResult",
     "EstimatorConfig",

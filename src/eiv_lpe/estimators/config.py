@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,14 +12,18 @@ from ..noise import GmmModel
 __all__ = [
     "EstimatorConfig",
     "EstimateResult",
+    "EgleCandidate",
     "EgleMeta",
     "Trace",
     "EstimatorError",
     "DivergenceError",
     "METHODS",
+    "CONSTRAINED_METHODS",
 ]
 
 METHODS = ("tls", "mtee", "mtc", "cmtc", "egle")
+# the methods that take the problem with its y1 + y3 = 0 constraint attached
+CONSTRAINED_METHODS = ("cmtc", "egle")
 
 # Per-method default kernel widths, iteration caps and stopping tolerances
 # (egle's is across outer iterations).  Step sizes default to None, meaning a
@@ -121,18 +125,6 @@ class EstimatorConfig:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
-@dataclass
-class EgleMeta:
-    """Model-selection record attached to egle results."""
-
-    m_star: int
-    bic_by_m: dict[int, float]
-    y_gmm: GmmModel
-    x_gmm: GmmModel
-    outer_iters_by_m: dict[int, int]
-    converged_by_m: dict[int, bool]
-
-
 @dataclass(frozen=True, eq=False)
 class Trace(Sequence):
     """The iterates of one estimator run, as a sequence of (w, objective) pairs.
@@ -168,8 +160,35 @@ class Trace(Sequence):
         return zip(self.w, self.objective.tolist())
 
 
-def _empty_trace() -> Trace:
-    return Trace(np.empty((0, 0)), np.empty(0))
+@dataclass(frozen=True, eq=False)
+class EgleCandidate:
+    """egle's run for one mixture order m: w, trace, outer_iters and converged
+    as on an `EstimateResult`; a failed run has bic = inf, its error in
+    `failure`, and None for a mixture it never fitted."""
+
+    m: int
+    w: np.ndarray
+    trace: Trace
+    outer_iters: int
+    converged: bool
+    bic: float
+    y_gmm: GmmModel | None
+    x_gmm: GmmModel | None
+    failure: str | None
+
+
+@dataclass
+class EgleMeta:
+    """egle's selected mixture order and its candidates, ordered by m from 1."""
+
+    m_star: int
+    candidates: tuple[EgleCandidate, ...]
+
+    @property
+    def outer_iters_by_m(self) -> dict[int, int]:
+        """Outer iterations per m, kept because perfbench/tracing.py reads it and
+        the benchmark harness changes only on its own; drop once it reads `candidates`."""
+        return {c.m: c.outer_iters for c in self.candidates}
 
 
 @dataclass
@@ -187,6 +206,6 @@ class EstimateResult:
     w: np.ndarray
     iterations: int
     converged: bool
-    trace: Trace = field(default_factory=_empty_trace)
+    trace: Trace
     elapsed: float = 0.0
     egle_meta: EgleMeta | None = None

@@ -22,6 +22,7 @@ import numpy as np
 from ..line_model import EivProblem
 from ..noise import GmmModel, em_fit, gmm_bic
 from .config import (
+    EgleCandidate,
     EgleMeta,
     EstimateResult,
     EstimatorConfig,
@@ -191,118 +192,95 @@ def egle_em_samples(
     return y_s, x_s
 
 
-def egle_estimate(problem: EivProblem, config: EstimatorConfig) -> EstimateResult:
-    """Alternating EM / Newton loop over m = 1..m_max.
+def _fit_candidate(
+    problem: EivProblem, config: EstimatorConfig, w0: np.ndarray, m: int
+) -> EgleCandidate:
+    """Alternate EM refits and Newton solves for mixture order m from w0.
 
-    Every candidate m starts from the same w0 (the TLS solution when the
-    config does not provide one).  A candidate converges when the parameter
-    vector moves at most config.tol between outer iterations; EM
-    refits after the first outer iteration warm-start from the previous
-    mixtures, and updates are halved once they stop contracting (see the
-    loop comment).  The winner is the candidate with the lowest combined BIC,
-    ties going to the smaller m; the result's converged flag reports
-    whether that candidate met the outer tolerance.
+    The candidate converges once w moves at most config.tol in an outer
+    iteration.  EM refits warm-start from the previous mixtures; updates are
+    halved once they stop contracting (see the loop comment).  A singular
+    Newton system, a non-finite step or EM rejecting diverged samples ends
+    the candidate as failed.
+    """
+    n, p = problem.x.shape
+    w = w0.copy()
+    # iterates are never updated in place, so the trace keeps references
+    ws: list[np.ndarray] = []
+    sse: list[float] = []
+    y_gmm = x_gmm = None
+    deltas: list[float] = []
+    damped = False
+    converged = False
+    for outer in range(1, config.max_iters + 1):
+        y_s, x_s = egle_em_samples(problem, w)
+        try:
+            y_fit = em_fit(y_s, m, config.seed, init=y_gmm)
+            y_gmm = y_fit.model
+            x_fit = em_fit(x_s.ravel(), m, config.seed, init=x_gmm)
+            x_gmm = x_fit.model
+            labels = y_fit.assignment.labels
+            if not ws:
+                ws.append(w)
+                sse.append(_trace_objective(problem, w, y_gmm, x_gmm, labels))
+            res = solve_params(problem, y_gmm, x_gmm, labels, w)
+        except (EstimatorError, ValueError) as exc:
+            # em_fit rejects non-finite samples once an iterate diverges
+            trace = Trace(np.reshape(ws, (-1, p)), sse)
+            return EgleCandidate(m, w, trace, outer, False, np.inf, y_gmm, x_gmm, str(exc))
+        w_next = res.w
+        delta = float(np.abs(w_next - w).max())
+        # Hard row membership can flip boundary rows back and forth,
+        # locking the alternation into a two-cycle; once the update
+        # stops contracting, halved steps settle on the equilibrium
+        # between the two assignments.
+        if not damped and len(deltas) >= 2 and delta > 0.5 * deltas[-2]:
+            damped = True
+        if damped:
+            w_next = 0.5 * (w + w_next)
+            delta = 0.5 * delta
+        deltas.append(delta)
+        w = w_next
+        ws.append(w)
+        sse.append(_trace_objective(problem, w, y_gmm, x_gmm, labels))
+        if delta <= config.tol:
+            converged = True
+            break
+    bic = gmm_bic(y_fit.loglik, m, n) + gmm_bic(x_fit.loglik, m, n * p)
+    return EgleCandidate(m, w, Trace(ws, sse), outer, converged, float(bic), y_gmm, x_gmm, None)
+
+
+def egle_estimate(problem: EivProblem, config: EstimatorConfig) -> EstimateResult:
+    """Fit a candidate per m = 1..m_max and keep the one BIC selects.
+
+    Every candidate starts from the same w0 (the TLS solution when the
+    config does not provide one).  The winner has the lowest combined BIC,
+    ties going to the smaller m, and the result is its record.
 
     Raises
     ------
     EstimatorError
-        If every candidate m fails outright (singular Newton systems,
-        non-finite steps or EM rejecting diverged samples), leaving nothing
-        to select from.
+        If every candidate m fails, leaving nothing to select from.
     """
     start = time.perf_counter()
-    n, p = problem.x.shape
-    w0 = checked_w0(config, p)
+    w0 = checked_w0(config, problem.x.shape[1])
     if w0 is None:
         w0 = tls_estimate(problem).w
-    runs: dict[int, dict] = {}
-    for m in range(1, config.egle_m_max + 1):
-        w = w0.copy()
-        # iterates are never updated in place, so the trace keeps references
-        ws: list[np.ndarray] = []
-        sse: list[float] = []
-        outer = 0
-        converged = False
-        failure: str | None = None
-        y_fit = x_fit = None
-        deltas: list[float] = []
-        damped = False
-        for outer in range(1, config.max_iters + 1):
-            y_s, x_s = egle_em_samples(problem, w)
-            try:
-                y_fit = em_fit(
-                    y_s, m, config.seed,
-                    init=y_fit.model if y_fit is not None else None,
-                )
-                x_fit = em_fit(
-                    x_s.ravel(), m, config.seed,
-                    init=x_fit.model if x_fit is not None else None,
-                )
-                labels = y_fit.assignment.labels
-                if not ws:
-                    ws.append(w)
-                    sse.append(_trace_objective(problem, w, y_fit.model, x_fit.model, labels))
-                res = solve_params(problem, y_fit.model, x_fit.model, labels, w)
-            except (EstimatorError, ValueError) as exc:
-                # em_fit rejects non-finite samples once an iterate diverges
-                failure = str(exc)
-                break
-            w_next = res.w
-            delta = float(np.abs(w_next - w).max())
-            # Hard row membership can flip boundary rows back and forth,
-            # locking the alternation into a two-cycle; once the update
-            # stops contracting, halved steps settle on the equilibrium
-            # between the two assignments.
-            if not damped and len(deltas) >= 2 and delta > 0.5 * deltas[-2]:
-                damped = True
-            if damped:
-                w_next = 0.5 * (w + w_next)
-                delta = 0.5 * delta
-            deltas.append(delta)
-            w = w_next
-            ws.append(w)
-            sse.append(_trace_objective(problem, w, y_fit.model, x_fit.model, labels))
-            if delta <= config.tol:
-                converged = True
-                break
-        if y_fit is not None and failure is None:
-            bic = gmm_bic(y_fit.loglik, m, n) + gmm_bic(x_fit.loglik, m, n * p)
-        else:
-            bic = np.inf
-        runs[m] = {
-            "w": w,
-            "ws": ws,
-            "sse": sse,
-            "outer": outer,
-            "converged": converged,
-            "bic": float(bic),
-            "y_gmm": y_fit.model if y_fit is not None else None,
-            "x_gmm": x_fit.model if x_fit is not None else None,
-            "failure": failure,
-        }
-    candidates = {m: r for m, r in runs.items() if r["failure"] is None}
-    if not candidates:
-        detail = "; ".join(
-            f"m={m}: outer={r['outer']}, error: {r['failure']}" for m, r in runs.items()
-        )
-        raise EstimatorError(f"egle failed for every m ({detail})")
-    best_bic = min(r["bic"] for r in candidates.values())
-    m_star = min(m for m, r in candidates.items() if r["bic"] <= best_bic + 1e-9)
-    win = runs[m_star]
-    meta = EgleMeta(
-        m_star=m_star,
-        bic_by_m={m: r["bic"] for m, r in runs.items()},
-        y_gmm=win["y_gmm"],
-        x_gmm=win["x_gmm"],
-        outer_iters_by_m={m: r["outer"] for m, r in runs.items()},
-        converged_by_m={m: r["converged"] for m, r in runs.items()},
-    )
+    orders = range(1, config.egle_m_max + 1)
+    candidates = tuple(_fit_candidate(problem, config, w0, m) for m in orders)
+    fitted = [c for c in candidates if c.failure is None]
+    if not fitted:
+        why = "; ".join(f"m={c.m}: outer={c.outer_iters}, error: {c.failure}" for c in candidates)
+        raise EstimatorError(f"egle failed for every m ({why})")
+    best_bic = min(c.bic for c in fitted)
+    # candidates run in m order, so the first within 1e-9 has the smallest m
+    win = next(c for c in fitted if c.bic <= best_bic + 1e-9)
     return EstimateResult(
         method="egle",
-        w=win["w"],
-        iterations=win["outer"],
-        converged=win["converged"],
-        trace=Trace(win["ws"], win["sse"]),
+        w=win.w,
+        iterations=win.outer_iters,
+        converged=win.converged,
+        trace=win.trace,
         elapsed=time.perf_counter() - start,
-        egle_meta=meta,
+        egle_meta=EgleMeta(m_star=win.m, candidates=candidates),
     )

@@ -89,8 +89,8 @@ class EivProblem:
             raise ValueError(f"need at least p={p} rows, got {n}")
         if not (np.isfinite(self.x).all() and np.isfinite(self.y).all()):
             raise ValueError("regression data must be finite")
-        if self.eps0 <= 0:
-            raise ValueError(f"eps0 must be positive, got {self.eps0}")
+        if not 0 < self.eps0 < np.inf:  # NaN fails too
+            raise ValueError(f"eps0 must be positive and finite, got {self.eps0}")
         if self.constraint is not None:
             c, f = self.constraint
             c = np.asarray(c, dtype=float)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .estimators import EstimateResult, EstimatorConfig, EstimatorError, estimate
-from .estimators.config import is_int
+from .estimators.config import CONSTRAINED_METHODS, is_int
 from .line_model import (
     CONSTRAINT_C,
     CONSTRAINT_F,
@@ -68,6 +68,9 @@ class LoadRampProfile:
     def __post_init__(self) -> None:
         if not (is_int(self.n_records) and self.n_records >= 1):
             raise ValueError(f"n_records must be a positive integer, got {self.n_records!r}")
+        for name in ("vk_mag", "angle_spread", "ref_angle"):
+            if len(getattr(self, name)) != 2:
+                raise ValueError(f"{name} needs 2 values, got {getattr(self, name)!r}")
         # each range check is written so that NaN fails it
         for d in self.angle_spread:
             # 0.6 rad is about 34 degrees, well below the steady-state
@@ -87,20 +90,18 @@ class LoadRampProfile:
         n = self.n_records
         return np.linspace(0.0, 1.0, n) if n > 1 else np.zeros(1)
 
+    def _ramp(self, pair: tuple[float, float]) -> np.ndarray:
+        return pair[0] + (pair[1] - pair[0]) * self._fractions()
+
     def _magnitudes(self) -> tuple[np.ndarray, np.ndarray]:
-        frac = self._fractions()
-        mag_k = self.vk_mag[0] + (self.vk_mag[1] - self.vk_mag[0]) * frac
-        delta = self.angle_spread[0] + (self.angle_spread[1] - self.angle_spread[0]) * frac
-        mag_l = mag_k * (1.0 - self.sag_per_rad * delta)
-        return mag_k, mag_l
+        mag_k = self._ramp(self.vk_mag)
+        return mag_k, mag_k * (1.0 - self.sag_per_rad * self._ramp(self.angle_spread))
 
     def voltages(self) -> tuple[np.ndarray, np.ndarray]:
         """Voltage phasor trajectories (vk, vl) as complex arrays."""
-        frac = self._fractions()
         mag_k, mag_l = self._magnitudes()
-        delta = self.angle_spread[0] + (self.angle_spread[1] - self.angle_spread[0]) * frac
-        ref = self.ref_angle[0] + (self.ref_angle[1] - self.ref_angle[0]) * frac
-        return _polar(mag_k, ref), _polar(mag_l, ref - delta)
+        ref = self._ramp(self.ref_angle)
+        return _polar(mag_k, ref), _polar(mag_l, ref - self._ramp(self.angle_spread))
 
 
 def _polar(mag: np.ndarray, angle: np.ndarray) -> np.ndarray:
@@ -219,7 +220,7 @@ def run_scenario(
 
     outcomes: list[ScenarioRun] = []
     for config in configs:
-        problem = tied if config.method in ("cmtc", "egle") else free
+        problem = tied if config.method in CONSTRAINED_METHODS else free
         cfg = config
         if cfg.w0 is None and cfg.method != "tls":
             cfg = replace(config, w0=guess.copy())

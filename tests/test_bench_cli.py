@@ -540,13 +540,19 @@ def test_cli_rejects_non_finite_profile_and_noise(tmp_path, capsys, command, key
         ("estimators", ["tls"], "an estimator entry must be an object, got 'tls'"),
         ("line", {"r": "0.01", "x": 0.03, "b": 0.38},
          "bad scenario spec: r must be a number, got '0.01'"),
+        ("profile", {"n_records": 12, "vk_mag": [1.0]},
+         "bad scenario spec: vk_mag needs 2 values, got (1.0,)"),
+        ("profile", {"n_records": 12, "ref_angle": [0.1]},
+         "bad scenario spec: ref_angle needs 2 values, got (0.1,)"),
+        ("profile", {"n_records": 12, "angle_spread": [0.02, 0.12, 0.3]},
+         "bad scenario spec: angle_spread needs 2 values, got (0.02, 0.12, 0.3)"),
     ],
 )
 def test_cli_rejects_a_config_field_of_the_wrong_json_type(
     tmp_path, capsys, monkeypatch, command, key, value, message
 ):
     cfg = json.loads(_bench_config_json(tmp_path).read_text())
-    if key in ("line", "label"):
+    if key in ("line", "label", "profile"):
         cfg["scenarios"][0][key] = value
     else:
         cfg[key] = value

@@ -232,13 +232,19 @@ def test_egle_estimate_near_truth_and_meta():
         res = egle_estimate(problem, EstimatorConfig("egle", egle_m_max=2, w0=w_true + 0.05))
     assert np.abs(res.w - w_true).max() < 0.05
     meta = res.egle_meta
-    assert sorted(meta.bic_by_m) == [1, 2]
+    assert [c.m for c in meta.candidates] == [1, 2]
+    assert all(c.failure is None and c.y_gmm.weights.size == c.m for c in meta.candidates)
     assert meta.m_star in (1, 2)
     # the winner has the lowest BIC and ties go to the smaller m
-    best = min(meta.bic_by_m.values())
-    assert meta.bic_by_m[meta.m_star] <= best + 1e-9
-    assert res.converged == meta.converged_by_m[meta.m_star]
-    assert res.iterations == meta.outer_iters_by_m[meta.m_star]
+    best = min(c.bic for c in meta.candidates)
+    win = meta.candidates[meta.m_star - 1]
+    assert win.bic <= best + 1e-9
+    assert all(c.bic > best + 1e-9 for c in meta.candidates[: meta.m_star - 1])
+    # the result is the winner's record
+    assert res.w.tobytes() == win.w.tobytes()
+    assert (res.iterations, res.converged) == (win.outer_iters, win.converged)
+    assert res.trace.w.tobytes() == win.trace.w.tobytes()
+    assert res.trace.objective.tobytes() == win.trace.objective.tobytes()
     assert len(res.trace) == res.iterations + 1
     # constrained output lands on the constraint set
     c, f_vec = problem.constraint
@@ -270,9 +276,11 @@ def test_egle_estimate_on_a_long_window_does_not_move_with_pairwise_sums(monkeyp
     assert res.w.tobytes() == ref.w.tobytes()
     assert res.trace.w.tobytes() == ref.trace.w.tobytes()
     assert res.trace.objective.tobytes() == ref.trace.objective.tobytes()
-    assert meta.outer_iters_by_m == ref_meta.outer_iters_by_m
-    assert meta.bic_by_m[1] == ref_meta.bic_by_m[1]
-    assert meta.bic_by_m[2] == pytest.approx(ref_meta.bic_by_m[2], rel=1e-9, abs=0)
+    one, two = meta.candidates
+    ref_one, ref_two = ref_meta.candidates
+    assert (one.outer_iters, two.outer_iters) == (ref_one.outer_iters, ref_two.outer_iters)
+    assert one.bic == ref_one.bic
+    assert two.bic == pytest.approx(ref_two.bic, rel=1e-9, abs=0)
 
 
 def test_egle_keeps_other_candidates_when_em_fails(monkeypatch):
@@ -290,8 +298,12 @@ def test_egle_keeps_other_candidates_when_em_fails(monkeypatch):
     problem, w_true = _eiv_instance(rng, n=200, p=3, noise=0.02)
     res = egle_estimate(problem, EstimatorConfig("egle", egle_m_max=2, w0=w_true + 0.05))
     assert res.egle_meta.m_star == 1
-    assert res.egle_meta.bic_by_m[2] == np.inf
-    assert np.isfinite(res.egle_meta.bic_by_m[1])
+    one, two = res.egle_meta.candidates
+    assert np.isfinite(one.bic) and one.failure is None
+    # m = 2 failed in its first outer iteration, before any fit or iterate
+    assert two.bic == np.inf and two.failure == "samples must be finite"
+    assert two.outer_iters == 1 and not two.converged
+    assert two.y_gmm is None and two.x_gmm is None and len(two.trace) == 0
 
 
 def test_egle_starts_from_tls_when_unseeded():
@@ -317,8 +329,12 @@ def test_egle_all_candidates_failing_raises():
     problem = EivProblem(np.zeros((2, 2)), np.zeros(2))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        with pytest.raises(EstimatorError, match="every m"):
+        with pytest.raises(EstimatorError) as info:
             egle_estimate(problem, EstimatorConfig("egle", w0=np.array([0.1, -0.2])))
+    singular = "error: singular Newton system (cond(J) = inf)"
+    assert str(info.value) == (
+        f"egle failed for every m (m=1: outer=1, {singular}; m=2: outer=1, {singular})"
+    )
 
 
 @pytest.mark.parametrize("method", ["mtee", "mtc", "cmtc", "egle"])

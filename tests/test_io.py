@@ -197,6 +197,11 @@ def test_scenario_from_dict_errors():
         (line, {"sag_per_rad": "0.05"}, "sag_per_rad must be a number, got '0.05'"),
         (line, {"sag_per_rad": False}, "sag_per_rad must be a number, got False"),
         (line, {"ref_angle": [0.0, None]}, "each ref_angle value must be a number, got None"),
+        # each range is a (first, last) pair
+        (line, {"vk_mag": [1.0]}, "vk_mag needs 2 values, got (1.0,)"),
+        (line, {"ref_angle": [0.1]}, "ref_angle needs 2 values, got (0.1,)"),
+        (line, {"angle_spread": [0.02, 0.12, 0.3]},
+         "angle_spread needs 2 values, got (0.02, 0.12, 0.3)"),
     ):
         with pytest.raises(ConfigError, match=re.escape(f"bad scenario spec: {message}")):
             scenario_from_dict({"label": "a", "line": line_d, "profile": profile})

@@ -183,8 +183,10 @@ def test_eiv_problem_validation():
         EivProblem(np.ones((1, 2)), np.ones(1))  # fewer rows than columns
     with pytest.raises(ValueError):
         EivProblem(x, np.array([1.0, np.inf, 0.0, 0.0]))
-    with pytest.raises(ValueError):
-        EivProblem(x, y, eps0=0.0)
+    # NaN slips past a plain `eps0 <= 0` check; NaN or inf gives tls a NaN objective
+    for eps0 in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="eps0 must be positive and finite"):
+            EivProblem(x, y, eps0=eps0)
     with pytest.raises(ValueError):
         EivProblem(x, y, constraint=(np.ones((3, 1)), np.zeros(1)))  # wrong C rows
     with pytest.raises(ValueError):
