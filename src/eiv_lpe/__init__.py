@@ -35,7 +35,6 @@ from .noise import (
     GmmModel,
     GmmNoise,
     LaplacianNoise,
-    NoiseAssignment,
     apply_noise,
     gmm_bic,
     sample_noise,
@@ -64,7 +63,6 @@ __all__ = [
     "LaplacianNoise",
     "LineParameters",
     "LoadRampProfile",
-    "NoiseAssignment",
     "PMU_DTYPE",
     "Scenario",
     "admittance_to_params",

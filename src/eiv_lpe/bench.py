@@ -121,16 +121,21 @@ def _pool_result(cell, future) -> tuple[RunRow, Trace | None]:
 
 
 def run_bench(config: BenchConfig) -> BenchReport:
-    """Evaluate the full grid; deterministic ordering regardless of jobs."""
+    """Evaluate the full grid; deterministic ordering regardless of jobs.
+
+    The pool has at most one worker per cell: a fork pool starts all of its
+    workers on the first submit, used or not.
+    """
     cells = [
         (scenario, est, seed)
         for scenario in config.scenarios
         for est in config.estimators
         for seed in config.seeds
     ]
-    if config.jobs > 1:
+    workers = min(config.jobs, len(cells))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_cell, cell) for cell in cells]
             results = [_pool_result(cell, fut) for cell, fut in zip(cells, futures)]
     else:

@@ -16,8 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimators import EstimatorError, estimate, tls_estimate
-from .estimators.config import CONSTRAINED_METHODS
+from .estimators import EstimatorError, estimate
 from .io import (
     ConfigError,
     estimator_from_dict,
@@ -118,15 +117,12 @@ def cmd_generate(args) -> int:
 def cmd_estimate(args) -> int:
     """Run one estimator on a PMU CSV and write result + trace CSVs.
 
-    Iterative methods start from the TLS solution; with unknown true
-    parameters there is no better generic warm start.
+    A config file sets no w0, so the iterative methods start from the TLS
+    solution of the same file (see estimators.tls.warm_start).
     """
     records = read_records_csv(args.data)
     config = estimator_from_dict(read_json(args.config))
-    problem = build_regression(records, with_constraint=config.method in CONSTRAINED_METHODS)
-    if config.method != "tls" and config.w0 is None:
-        config = replace(config, w0=tls_estimate(problem).w)
-    result = estimate(problem, config)
+    result = estimate(build_regression(records), config)
     params = admittance_to_params(result.w)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -18,12 +18,9 @@ __all__ = [
     "EstimatorError",
     "DivergenceError",
     "METHODS",
-    "CONSTRAINED_METHODS",
 ]
 
 METHODS = ("tls", "mtee", "mtc", "cmtc", "egle")
-# the methods that take the problem with its y1 + y3 = 0 constraint attached
-CONSTRAINED_METHODS = ("cmtc", "egle")
 
 # Per-method default kernel widths, iteration caps and stopping tolerances
 # (egle's is across outer iterations).  Step sizes default to None, meaning a
@@ -47,22 +44,6 @@ def is_number(value) -> bool:
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
-def checked_w0(config: EstimatorConfig, p: int) -> np.ndarray | None:
-    """A copy of config.w0 for a p-column problem, or None when it is unset.
-
-    Raises
-    ------
-    ValueError
-        If w0 does not have shape (p,).
-    """
-    if config.w0 is None:
-        return None
-    w0 = np.asarray(config.w0, dtype=float).copy()
-    if w0.shape != (p,):
-        raise ValueError(f"w0 must have shape ({p},)")
-    return w0
-
-
 class EstimatorError(RuntimeError):
     """Raised when an estimator cannot produce a solution."""
 
@@ -78,7 +59,8 @@ class EstimatorConfig:
     Attributes
     ----------
     method : one of METHODS.
-    w0 : optional starting vector for the iterative methods.
+    w0 : optional starting vector for the iterative methods, which start
+        from the TLS solution without one (see tls.warm_start).
     step : gradient step size; None derives a stable step from the data.
     kernel_sigma : Gaussian kernel width for the entropy/correntropy methods.
     max_iters : iteration cap (outer-loop cap for egle).

@@ -28,9 +28,8 @@ from .config import (
     EstimatorConfig,
     EstimatorError,
     Trace,
-    checked_w0,
 )
-from .tls import tls_estimate
+from .tls import warm_start
 
 __all__ = [
     "newton_system",
@@ -219,7 +218,7 @@ def _fit_candidate(
             y_gmm = y_fit.model
             x_fit = em_fit(x_s.ravel(), m, config.seed, init=x_gmm)
             x_gmm = x_fit.model
-            labels = y_fit.assignment.labels
+            labels = y_fit.labels
             if not ws:
                 ws.append(w)
                 sse.append(_trace_objective(problem, w, y_gmm, x_gmm, labels))
@@ -253,9 +252,9 @@ def _fit_candidate(
 def egle_estimate(problem: EivProblem, config: EstimatorConfig) -> EstimateResult:
     """Fit a candidate per m = 1..m_max and keep the one BIC selects.
 
-    Every candidate starts from the same w0 (the TLS solution when the
-    config does not provide one).  The winner has the lowest combined BIC,
-    ties going to the smaller m, and the result is its record.
+    Every candidate starts from the same w0 (see warm_start).  The winner
+    has the lowest combined BIC, ties going to the smaller m, and the
+    result is its record.
 
     Raises
     ------
@@ -263,9 +262,7 @@ def egle_estimate(problem: EivProblem, config: EstimatorConfig) -> EstimateResul
         If every candidate m fails, leaving nothing to select from.
     """
     start = time.perf_counter()
-    w0 = checked_w0(config, problem.x.shape[1])
-    if w0 is None:
-        w0 = tls_estimate(problem).w
+    w0 = warm_start(problem, config)
     orders = range(1, config.egle_m_max + 1)
     candidates = tuple(_fit_candidate(problem, config, w0, m) for m in orders)
     fitted = [c for c in candidates if c.failure is None]

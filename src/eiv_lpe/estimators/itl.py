@@ -30,8 +30,8 @@ from .config import (
     EstimateResult,
     EstimatorConfig,
     Trace,
-    checked_w0,
 )
+from .tls import warm_start
 
 __all__ = [
     "total_error",
@@ -145,11 +145,6 @@ def _auto_step(problem: EivProblem, w0: np.ndarray, sigma: float, method: str) -
     return sigma**2 * s0 / lam
 
 
-def _start(problem: EivProblem, config: EstimatorConfig) -> np.ndarray:
-    w0 = checked_w0(config, problem.x.shape[1])
-    return np.zeros(problem.x.shape[1]) if w0 is None else w0
-
-
 def _guard(w: np.ndarray, method: str, iteration: int) -> None:
     norm = math.sqrt(float(w @ w))
     if not math.isfinite(norm) or norm > DIVERGENCE_NORM:
@@ -191,13 +186,12 @@ def _ascent(problem: EivProblem, config: EstimatorConfig, method: str) -> Estima
 
     mtee ascends the information potential, mtc and cmtc the correntropy;
     cmtc follows each step with the multiplier correction that restores
-    the equality constraint.  Stops when the max-norm update is <= tol.
+    the equality constraint, which mtee and mtc ignore.  Starts from
+    warm_start and stops when the max-norm update is <= tol.
     """
     start = time.perf_counter()
     value_grad = _mtee_value_grad if method == "mtee" else _mtc_value_grad
     sigma = float(config.kernel_sigma)
-    w = _start(problem, config)
-    step = config.step if config.step is not None else _auto_step(problem, w, sigma, method)
     constrained = method == "cmtc"
     if constrained:
         if problem.constraint is None:
@@ -206,6 +200,8 @@ def _ascent(problem: EivProblem, config: EstimatorConfig, method: str) -> Estima
         # Oblique projector pieces for the multiplier update: the step
         # eta * C * lambda restores C^T w = f exactly each iteration.
         ctc_inv = np.linalg.inv(c_mat.T @ c_mat)
+    w = warm_start(problem, config)
+    step = config.step if config.step is not None else _auto_step(problem, w, sigma, method)
     # iterates are never updated in place, so the trace keeps references
     ws: list[np.ndarray] = []
     values: list[float] = []

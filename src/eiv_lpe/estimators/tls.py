@@ -9,7 +9,7 @@ import numpy as np
 from ..line_model import EivProblem
 from .config import EstimateResult, EstimatorConfig, EstimatorError, Trace
 
-__all__ = ["tls_estimate", "tls_objective"]
+__all__ = ["tls_estimate", "tls_objective", "warm_start"]
 
 
 def tls_objective(problem: EivProblem, w: np.ndarray) -> float:
@@ -22,7 +22,9 @@ def tls_estimate(problem: EivProblem, config: EstimatorConfig | None = None) -> 
     """Classic TLS fit from the smallest right singular vector of [X y].
 
     With [X y] = U D V^T, the solution is w = -v[:p] / v[p] where v is the
-    right singular vector of the smallest singular value.
+    right singular vector of the smallest singular value.  A square X
+    (n = p rows) takes the full V, whose last row is the null direction of
+    [X y] that the thin SVD leaves out.
 
     Raises
     ------
@@ -33,7 +35,7 @@ def tls_estimate(problem: EivProblem, config: EstimatorConfig | None = None) -> 
     start = time.perf_counter()
     p = problem.x.shape[1]
     stacked = np.column_stack([problem.x, problem.y])
-    _, _, vt = np.linalg.svd(stacked, full_matrices=False)
+    _, _, vt = np.linalg.svd(stacked, full_matrices=stacked.shape[0] <= p)
     v = vt[-1]
     if abs(v[p]) < 1e-14:
         raise EstimatorError(
@@ -50,3 +52,22 @@ def tls_estimate(problem: EivProblem, config: EstimatorConfig | None = None) -> 
         trace=trace,
         elapsed=time.perf_counter() - start,
     )
+
+
+def warm_start(problem: EivProblem, config: EstimatorConfig) -> np.ndarray:
+    """The start of an iterative estimator: a copy of config.w0, else the TLS solution.
+
+    Raises
+    ------
+    ValueError
+        If w0 does not have shape (p,).
+    EstimatorError
+        If w0 is unset and the problem has no finite TLS solution.
+    """
+    if config.w0 is None:
+        return tls_estimate(problem).w
+    p = problem.x.shape[1]
+    w0 = np.asarray(config.w0, dtype=float).copy()
+    if w0.shape != (p,):
+        raise ValueError(f"w0 must have shape ({p},)")
+    return w0

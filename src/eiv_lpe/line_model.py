@@ -188,7 +188,7 @@ def simulate_records(
     return np.rec.fromarrays([np.arange(len(vk)), vk, vl, ik, il], dtype=PMU_DTYPE)
 
 
-def build_regression(records: np.recarray, with_constraint: bool = False) -> EivProblem:
+def build_regression(records: np.recarray) -> EivProblem:
     """Stack a PMU record window into the 4-rows-per-record real regression.
 
     Per record, in order: Re(ik), Im(ik), Re(il), Im(il) regressed on the
@@ -199,6 +199,10 @@ def build_regression(records: np.recarray, with_constraint: bool = False) -> Eiv
         [Im vk, -Re vk,  Im vl, -Re vl]   ->  Im ik
         [Re vl,  Im vl,  Re vk,  Im vk]   ->  Re il
         [Im vl, -Re vl,  Im vk, -Re vk]   ->  Im il
+
+    The problem carries the pi-line constraint y1 + y3 = 0 as
+    (CONSTRAINT_C, CONSTRAINT_F); tls, mtee and mtc ignore it, and cmtc
+    and egle enforce it.
     """
     if len(records) == 0:
         raise ValueError("need at least one record")
@@ -208,5 +212,4 @@ def build_regression(records: np.recarray, with_constraint: bool = False) -> Eiv
     x = np.array(stencils).transpose(2, 0, 1).reshape(-1, 4)
     ik, il = records.ik, records.il
     y = np.stack([ik.real, ik.imag, il.real, il.imag], axis=1).ravel()
-    constraint = (CONSTRAINT_C.copy(), CONSTRAINT_F.copy()) if with_constraint else None
-    return EivProblem(x, y, constraint=constraint)
+    return EivProblem(x, y, constraint=(CONSTRAINT_C.copy(), CONSTRAINT_F.copy()))

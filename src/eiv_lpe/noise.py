@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,6 @@ __all__ = [
     "LaplacianNoise",
     "GmmNoise",
     "NoiseModel",
-    "NoiseAssignment",
     "EmFit",
     "sample_noise",
     "apply_noise",
@@ -122,29 +121,30 @@ NoiseModel = GaussianNoise | LaplacianNoise | GmmNoise
 
 
 @dataclass
-class NoiseAssignment:
-    """Per-sample hard labels plus soft responsibilities from an EM fit.
+class EmFit:
+    """Full result of one EM run, including diagnostics used by callers.
 
     responsibilities is (n, m), a transposed view of the fit's (m, n)
     array.  labels[i] is the argmax of responsibilities[i] with ties
-    resolved to the lowest component index.
+    resolved to the lowest component index.  loglik_history holds the log
+    likelihood of every E-step; loglik is its last value and n_iter its
+    length.
     """
 
+    model: GmmModel
     labels: np.ndarray
     responsibilities: np.ndarray
-
-
-@dataclass
-class EmFit:
-    """Full result of one EM run, including diagnostics used by callers."""
-
-    model: GmmModel
-    assignment: NoiseAssignment
-    loglik: float
-    loglik_history: list[float] = field(default_factory=list)
-    n_iter: int = 0
+    loglik_history: list[float]
     converged: bool = False
     variance_floored: bool = False
+
+    @property
+    def loglik(self) -> float:
+        return self.loglik_history[-1]
+
+    @property
+    def n_iter(self) -> int:
+        return len(self.loglik_history)
 
 
 def _draw(model: NoiseModel, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -338,16 +338,7 @@ def em_fit(
     if floored:
         warnings.warn("GMM component variance collapsed; floored at 1e-12")
     model = GmmModel(w / w.sum(), mu, var)
-    labels = resp.argmax(axis=0)
-    return EmFit(
-        model,
-        NoiseAssignment(labels, resp.T),
-        history[-1],
-        history,
-        len(history),
-        converged,
-        floored,
-    )
+    return EmFit(model, resp.argmax(axis=0), resp.T, history, converged, floored)
 
 
 def gmm_bic(loglik: float, m: int, n_samples: int) -> float:

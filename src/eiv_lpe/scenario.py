@@ -14,10 +14,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .estimators import EstimateResult, EstimatorConfig, EstimatorError, estimate
-from .estimators.config import CONSTRAINED_METHODS, is_int
+from .estimators.config import is_int
 from .line_model import (
-    CONSTRAINT_C,
-    CONSTRAINT_F,
     LineParameters,
     admittance_to_params,
     build_regression,
@@ -204,8 +202,10 @@ def run_scenario(
 
     The effective seed (argument overrides scenario.seed) drives both the
     noise draw and the perturbed starting guess, so a (scenario, configs,
-    seed) triple is fully reproducible.  Constrained methods (cmtc, egle)
-    receive the problem with the y1 + y3 = 0 constraint attached.
+    seed) triple is fully reproducible.  Every method gets the same
+    problem, which carries the y1 + y3 = 0 constraint that cmtc and egle
+    enforce; all but tls start from the perturbed guess unless their
+    config sets w0.
     Estimator failures are captured per entry as "<ExceptionType>: <message>";
     the run continues.
     """
@@ -214,14 +214,13 @@ def run_scenario(
     eff_seed = scenario.seed if seed is None else seed
     clean = generate_true_records(scenario)
     records = clean if scenario.noise is None else apply_noise(clean, scenario.noise, eff_seed)
-    free = build_regression(records)
-    tied = replace(free, constraint=(CONSTRAINT_C.copy(), CONSTRAINT_F.copy()))
+    problem = build_regression(records)
     guess = params_to_admittance(initial_guess(scenario.line, eff_seed))
 
     outcomes: list[ScenarioRun] = []
     for config in configs:
-        problem = tied if config.method in CONSTRAINED_METHODS else free
         cfg = config
+        # tls takes no start: its trace begins at zero
         if cfg.w0 is None and cfg.method != "tls":
             cfg = replace(config, w0=guess.copy())
         try:

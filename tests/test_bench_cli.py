@@ -1,5 +1,6 @@
 """Benchmark grid runner outputs and the command line front end."""
 
+import concurrent.futures
 import csv
 import json
 import os
@@ -225,6 +226,41 @@ def test_killed_worker_fails_its_cells_not_the_bench(tmp_path):
     assert all(r.error for r in rows if r.scenario == "doomed")
     assert report.failures == sum(1 for r in rows if r.error) >= 2
     assert json.loads((out / "bench_manifest.json").read_text())["failures"] == report.failures
+
+
+class _InlinePool:
+    """A process pool stand-in that records its max_workers and runs tasks inline."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("seeds, pools", [([0, 1], [2]), ([0], [])])
+def test_bench_pool_has_at_most_one_worker_per_cell(tmp_path, monkeypatch, seeds, pools):
+    # a fork pool starts every worker on the first submit; a grid of one
+    # cell takes the serial path
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    config = BenchConfig(
+        scenarios=[_tiny_scenario()], estimators=[EstimatorConfig("tls")], seeds=seeds,
+        output_dir=tmp_path / "bench", jobs=64, plots=False,
+    )
+    report = run_bench(config)
+    assert _InlinePool.sizes == pools
+    assert [(r.seed, r.error) for r in report.rows] == [(seed, "") for seed in seeds]
 
 
 def test_bench_manifest_echoes_config_and_environment(tmp_path):

@@ -355,7 +355,7 @@ def _tied_window(n_records, seed):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # short windows may be ill conditioned
         clean = generate_true_records(scenario)
-    return build_regression(apply_noise(clean, scenario.noise, seed), with_constraint=True)
+    return build_regression(apply_noise(clean, scenario.noise, seed))
 
 
 @pytest.mark.parametrize("method", ["cmtc", "egle"])

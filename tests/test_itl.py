@@ -1,6 +1,7 @@
 """Entropy and correntropy ascent: objectives, gradients, constraints, guards."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,9 +11,12 @@ from hypothesis import strategies as st
 from eiv_lpe.estimators import (
     DivergenceError,
     EstimatorConfig,
+    EstimatorError,
     cmtc_estimate,
+    estimate,
     mtc_estimate,
     mtee_estimate,
+    tls_estimate,
 )
 from eiv_lpe.estimators import itl
 from eiv_lpe.estimators.itl import (
@@ -232,8 +236,41 @@ def test_mtc_converges_and_traces():
 def test_cmtc_requires_constraint():
     rng = np.random.default_rng(6)
     problem, _ = _random_problem(rng, 20, 2)
-    with pytest.raises(ValueError):
-        cmtc_estimate(problem, EstimatorConfig("cmtc"))
+    # [X y] of the second has no finite TLS solution: the check comes before the start
+    no_tls = EivProblem(np.array([[1.0], [0.0]]), np.array([0.0, 1e6]))
+    with pytest.raises(EstimatorError):
+        tls_estimate(no_tls)
+    for unconstrained in (problem, no_tls):
+        with pytest.raises(ValueError, match="requires a problem with an equality constraint"):
+            cmtc_estimate(unconstrained, EstimatorConfig("cmtc"))
+
+
+def _noisy_stock_window(seed=0):
+    noise = LaplacianNoise(0.0, 0.005)
+    profile = LoadRampProfile(n_records=40, vk_mag=(0.95, 1.08), angle_spread=(0.3, 0.6))
+    records = generate_true_records(Scenario("window", ORACLE_LINE, profile, noise))
+    return build_regression(apply_noise(records, noise, seed))
+
+
+@pytest.mark.parametrize("method", ["tls", "mtee", "mtc"])
+def test_unconstrained_methods_ignore_the_window_constraint(method):
+    problem = _noisy_stock_window()
+    assert problem.constraint is not None
+    free = replace(problem, constraint=None)
+    guess = params_to_admittance(initial_guess(ORACLE_LINE, 0))
+    config = EstimatorConfig(method, w0=guess, max_iters=200)
+    tied, untied = estimate(problem, config), estimate(free, config)
+    assert tied.w.tobytes() == untied.w.tobytes()
+    assert tied.trace.w.tobytes() == untied.trace.w.tobytes()
+    assert tied.trace.objective.tobytes() == untied.trace.objective.tobytes()
+    assert (tied.iterations, tied.converged) == (untied.iterations, untied.converged)
+
+
+@pytest.mark.parametrize("method", ["mtee", "mtc", "cmtc"])
+def test_ascent_without_w0_starts_from_tls(method):
+    problem = _noisy_stock_window(seed=1)
+    res = estimate(problem, EstimatorConfig(method, max_iters=3))
+    assert res.trace[0][0].tobytes() == tls_estimate(problem).w.tobytes()
 
 
 def test_cmtc_constraint_holds_every_iterate():

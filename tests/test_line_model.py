@@ -136,7 +136,12 @@ def test_regression_row_layout():
     expected_y = np.array([5.0, 6.0, 7.0, 8.0])
     assert np.array_equal(problem.x, expected_x)
     assert np.array_equal(problem.y, expected_y)
-    assert problem.constraint is None
+    # every window carries the pi-line constraint y1 + y3 = 0
+    c, f = problem.constraint
+    assert np.array_equal(c, CONSTRAINT_C)
+    assert np.array_equal(f, CONSTRAINT_F)
+    assert np.array_equal(CONSTRAINT_C, np.array([[1.0], [0.0], [1.0], [0.0]]))
+    assert np.array_equal(CONSTRAINT_F, np.array([0.0]))
     assert problem.eps0 == 1.0
 
 
@@ -150,16 +155,6 @@ def test_regression_exact_on_clean_records():
     w_true = params_to_admittance(STOCK)
     assert problem.x.shape == (160, 4)
     assert np.abs(problem.x @ w_true - problem.y).max() < 1e-12
-
-
-def test_regression_constraint_attachment():
-    rec = (0, 1 + 0j, 0.9 + 0j, 0.1 + 0j, -0.1 + 0j)
-    problem = build_regression(np.rec.array([rec], dtype=PMU_DTYPE), with_constraint=True)
-    c, f = problem.constraint
-    assert np.array_equal(c, CONSTRAINT_C)
-    assert np.array_equal(f, CONSTRAINT_F)
-    assert np.array_equal(CONSTRAINT_C, np.array([[1.0], [0.0], [1.0], [0.0]]))
-    assert np.array_equal(CONSTRAINT_F, np.array([0.0]))
 
 
 def test_regression_rejects_empty():

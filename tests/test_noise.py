@@ -148,8 +148,8 @@ def test_em_two_component_recovery():
     # components come back sorted by mean
     assert fit.model.means[0] < fit.model.means[1]
     # labels follow the dominant responsibility
-    resp = fit.assignment.responsibilities
-    assert np.array_equal(fit.assignment.labels, resp.argmax(axis=1))
+    resp = fit.responsibilities
+    assert np.array_equal(fit.labels, resp.argmax(axis=1))
     assert np.allclose(resp.sum(axis=1), 1.0, atol=1e-12)
 
 
@@ -190,8 +190,8 @@ def test_em_label_tie_break_lowest_index():
     # identical components give 0.5/0.5 responsibilities; argmax picks index 0
     init = GmmModel(np.array([0.5, 0.5]), np.array([0.0, 0.0]), np.array([1.0, 1.0]))
     fit = em_fit(np.array([-1.0, 1.0, -0.5, 0.5]), 2, init=init)
-    assert np.allclose(fit.assignment.responsibilities, 0.5, atol=1e-12)
-    assert np.array_equal(fit.assignment.labels, np.zeros(4, dtype=int))
+    assert np.allclose(fit.responsibilities, 0.5, atol=1e-12)
+    assert np.array_equal(fit.labels, np.zeros(4, dtype=int))
 
 
 def test_gmm_bic_hand_value():
@@ -312,9 +312,9 @@ def test_em_fit_matches_nm_layout_bit_for_bit(kind, m, n, seed, warm):
     assert (fit.n_iter, fit.converged, fit.variance_floored) == (
         ref.n_iter, ref.converged, ref.variance_floored
     )
-    assert _same_bits(fit.assignment.labels, ref.assignment.labels)
-    assert _same_bits(fit.assignment.responsibilities, ref.assignment.responsibilities)
-    assert fit.assignment.responsibilities.shape == (x.size, m)
+    assert _same_bits(fit.labels, ref.labels)
+    assert _same_bits(fit.responsibilities, ref.responsibilities)
+    assert fit.responsibilities.shape == (x.size, m)
 
 
 def test_log_density_is_the_em_kernel_log_likelihood():
@@ -352,13 +352,13 @@ def test_large_em_fit_matches_nm_layout_to_rounding(size):
         for name in ("weights", "means", "variances"):
             assert _same_bits(getattr(fit.model, name), getattr(ref.model, name))
         assert fit.loglik_history == ref.loglik_history
-        assert _same_bits(fit.assignment.responsibilities, ref.assignment.responsibilities)
+        assert _same_bits(fit.responsibilities, ref.responsibilities)
     else:
         for name in ("weights", "means", "variances"):
             got, want = getattr(fit.model, name), getattr(ref.model, name)
             np.testing.assert_allclose(got, want, rtol=1e-10)
         np.testing.assert_allclose(fit.loglik_history, ref.loglik_history, rtol=1e-12)
-    assert _same_bits(fit.assignment.labels, ref.assignment.labels)
+    assert _same_bits(fit.labels, ref.labels)
 
 
 # --- the two cold starts: row sums and the helper thread ----------------------
@@ -420,8 +420,8 @@ def test_cold_em_fit_matches_serial_two_start_loop(size, seed):
     for name, want in zip(("weights", "means", "variances"), model):
         assert _same_bits(getattr(fit.model, name), want)
     assert fit.loglik_history == history and fit.n_iter == n_iter
-    assert _same_bits(fit.assignment.labels, labels)
-    assert _same_bits(fit.assignment.responsibilities, resp)
+    assert _same_bits(fit.labels, labels)
+    assert _same_bits(fit.responsibilities, resp)
 
 
 @pytest.mark.parametrize("size", [noise.EM_LARGE_FIT_SAMPLES, noise.EM_LARGE_FIT_SAMPLES - 1])

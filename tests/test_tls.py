@@ -5,7 +5,8 @@ import pytest
 
 from eiv_lpe.estimators import EstimatorConfig, EstimatorError
 from eiv_lpe.estimators.tls import tls_estimate, tls_objective
-from eiv_lpe.line_model import EivProblem
+from eiv_lpe.line_model import EivProblem, LineParameters, build_regression, params_to_admittance
+from eiv_lpe.scenario import LoadRampProfile, Scenario, generate_true_records
 
 
 def test_tls_trivial_consistent_system():
@@ -69,3 +70,24 @@ def test_tls_trace_starts_from_w0():
     res = tls_estimate(problem, EstimatorConfig("tls", w0=np.array([5.0])))
     assert np.array_equal(res.trace[0][0], [5.0])
     assert np.allclose(res.trace[-1][0], res.w)
+
+
+def test_tls_square_consistent_system():
+    # n = p rows: the null direction of [X y] is the (p+1)-th right singular
+    # vector, which only the full SVD returns
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(4, 4))
+    w_true = np.array([1.0, 2.0, 3.0, 4.0])
+    res = tls_estimate(EivProblem(x, x @ w_true))
+    assert np.allclose(res.w, w_true, rtol=1e-10, atol=0)
+
+
+def test_tls_one_record_window_is_exact():
+    # one noiseless record is a square 4 x 4 regression (cond(X) ~ 100)
+    line = LineParameters(r=0.00269, x=0.0302, b=0.38)
+    records = generate_true_records(Scenario("one", line, LoadRampProfile(n_records=1), None))
+    problem = build_regression(records)
+    assert problem.x.shape == (4, 4)
+    w_true = params_to_admittance(line)
+    res = tls_estimate(problem)
+    assert np.allclose(res.w, w_true, rtol=1e-9, atol=0)
