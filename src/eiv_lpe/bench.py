@@ -27,7 +27,6 @@ import numpy as np
 
 from .estimators import Trace
 from .io import BenchConfig, ConfigError, bench_config_to_dict
-from .line_model import admittance_to_params
 from .scenario import Scenario, run_scenario
 
 __all__ = [
@@ -231,14 +230,18 @@ def _write_tables(report: BenchReport, scenarios: list[Scenario], out: Path) -> 
 
 
 def _trace_are_curve(trace: Trace, scenario: Scenario) -> np.ndarray:
+    """ARE(r) of each iterate; NaN where admittance_to_params rejects it."""
+    y1, y2, y3, y4 = trace.w.T
     true_r = scenario.line.r
-    out = np.full(len(trace), np.nan)
-    for i, (w, _) in enumerate(trace):
-        try:
-            out[i] = abs((admittance_to_params(w).r - true_r) / true_r)
-        except ValueError:
-            pass
-    return out
+    with np.errstate(all="ignore"):
+        # squares by libm's pow, as admittance_to_params's scalar ** 2 does;
+        # an array's ** 2 multiplies, which can differ in the last bit
+        den = np.float_power(y1 - y3, 2) + np.float_power(2.0 * y4, 2)
+        r = 2.0 * (y1 - y3) / den
+        x = -4.0 * y4 / den
+        valid = np.isfinite([r, x, y2 + y4]).all(axis=0) & (den >= 1e-24)
+        valid &= (r >= 0) & ((r != 0) | (x != 0))
+        return np.where(valid, np.abs((r - true_r) / true_r), np.nan)
 
 
 def _xml_escape(text: str) -> str:

@@ -59,8 +59,8 @@ class EstimatorConfig:
     Attributes
     ----------
     method : one of METHODS.
-    w0 : optional starting vector for the iterative methods, which start
-        from the TLS solution without one (see tls.warm_start).
+    w0 : optional start of the iterative methods, converted and checked by
+        tls.warm_start; without one they start from TLS.  tls ignores it.
     step : gradient step size; None derives a stable step from the data.
     kernel_sigma : Gaussian kernel width for the entropy/correntropy methods.
     max_iters : iteration cap (outer-loop cap for egle).
@@ -91,8 +91,6 @@ class EstimatorConfig:
             self.max_iters = _DEFAULT_MAX_ITERS.get(self.method, 1)
         if self.tol is None:
             self.tol = _DEFAULT_TOL.get(self.method, 1e-10)
-        if self.w0 is not None:
-            self.w0 = np.asarray(self.w0, dtype=float)
         for name in ("kernel_sigma", "step", "tol"):
             value = getattr(self, name)
             if value is not None and not is_number(value):

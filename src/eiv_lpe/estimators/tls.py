@@ -24,7 +24,8 @@ def tls_estimate(problem: EivProblem, config: EstimatorConfig | None = None) -> 
     With [X y] = U D V^T, the solution is w = -v[:p] / v[p] where v is the
     right singular vector of the smallest singular value.  A square X
     (n = p rows) takes the full V, whose last row is the null direction of
-    [X y] that the thin SVD leaves out.
+    [X y] that the thin SVD leaves out.  TLS takes no start: the trace runs
+    from zeros to w, and `config` is ignored, taken so all methods are called alike.
 
     Raises
     ------
@@ -42,8 +43,8 @@ def tls_estimate(problem: EivProblem, config: EstimatorConfig | None = None) -> 
             f"TLS solution does not exist: |v[p]| = {abs(v[p]):.3e} < 1e-14"
         )
     w = -v[:p] / v[p]
-    w0 = config.w0 if config is not None and config.w0 is not None else np.zeros(p)
-    trace = Trace([w0, w], [tls_objective(problem, w0), tls_objective(problem, w)])
+    zero = np.zeros(p)
+    trace = Trace([zero, w], [tls_objective(problem, zero), tls_objective(problem, w)])
     return EstimateResult(
         method="tls",
         w=w,
@@ -60,14 +61,16 @@ def warm_start(problem: EivProblem, config: EstimatorConfig) -> np.ndarray:
     Raises
     ------
     ValueError
-        If w0 does not have shape (p,).
+        If w0 does not have shape (p,) or is not finite.
     EstimatorError
         If w0 is unset and the problem has no finite TLS solution.
     """
     if config.w0 is None:
         return tls_estimate(problem).w
     p = problem.x.shape[1]
-    w0 = np.asarray(config.w0, dtype=float).copy()
+    w0 = np.array(config.w0, dtype=float)
     if w0.shape != (p,):
         raise ValueError(f"w0 must have shape ({p},)")
+    if not np.isfinite(w0).all():
+        raise ValueError("w0 must be finite")
     return w0

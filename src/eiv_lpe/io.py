@@ -251,9 +251,14 @@ def load_bench_config(path: str | Path) -> BenchConfig:
     ]
     if not estimators:
         raise ConfigError("config must define at least one estimator")
+    methods = [e.method for e in estimators]
+    if len(set(methods)) != len(methods):
+        raise ConfigError(f"estimator methods must be unique, got {methods}")
     seeds = raw.get("seeds", [0])
     if not (isinstance(seeds, list) and seeds and all(is_int(s) and s >= 0 for s in seeds)):
         raise ConfigError(f"seeds must be a non-empty list of non-negative integers, got {seeds!r}")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"seeds must be unique, got {seeds}")
     config = BenchConfig(scenarios, estimators, seeds)
     output_dir = raw.get("output_dir")
     if output_dir is not None and _checked(output_dir, str, "output_dir"):  # "" keeps the default

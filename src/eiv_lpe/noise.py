@@ -42,6 +42,8 @@ COLLAPSE_FLAG = 1e-14
 # against 0.31-0.44 s and 0.73-0.75 s with left-to-right sums.
 EM_LARGE_FIT_SAMPLES = 1 << 14
 
+EM_TOL = 1e-9  # em_fit stops once an iteration gains under EM_TOL * max(1, |loglik|)
+
 
 @dataclass(frozen=True, eq=False)
 class GmmModel:
@@ -264,7 +266,6 @@ def em_fit(
     samples: np.ndarray,
     m: int,
     seed: int = 0,
-    tol: float = 1e-9,
     max_iter: int = 500,
     init: GmmModel | None = None,
 ) -> EmFit:
@@ -280,8 +281,7 @@ def em_fit(
     (n, m) layout to rounding, smaller ones bit for bit (see _row_sums).
     Passing a warm-start model via ``init`` replaces both cold starts with
     a single run from that model's parameters.  For m = 1 the closed-form
-    sample moments take the place of EM (``init`` is not used).  tol is
-    relative to the log likelihood magnitude.
+    sample moments take the place of EM (``init`` is not used).
     """
     x = np.asarray(samples, dtype=float).ravel()
     if x.size < m:
@@ -306,7 +306,7 @@ def em_fit(
             init.weights.astype(float).copy(),
             init.means.astype(float).copy(),
             np.maximum(init.variances.astype(float), VARIANCE_FLOOR),
-            tol,
+            EM_TOL,
             max_iter,
         )
     else:
@@ -318,7 +318,7 @@ def em_fit(
         perturbed = quantiles + rng.normal(0.0, np.sqrt(pooled), size=m)
 
         def run(mu0):
-            return _em_once(x, w0.copy(), mu0.astype(float).copy(), var0.copy(), tol, max_iter)
+            return _em_once(x, w0.copy(), mu0.astype(float).copy(), var0.copy(), EM_TOL, max_iter)
 
         if x.size >= EM_LARGE_FIT_SAMPLES:
             import contextvars

@@ -17,6 +17,7 @@ from .estimators import EstimateResult, EstimatorConfig, EstimatorError, estimat
 from .estimators.config import is_int
 from .line_model import (
     LineParameters,
+    _complex,
     admittance_to_params,
     build_regression,
     params_to_admittance,
@@ -99,15 +100,9 @@ class LoadRampProfile:
         """Voltage phasor trajectories (vk, vl) as complex arrays."""
         mag_k, mag_l = self._magnitudes()
         ref = self._ramp(self.ref_angle)
-        return _polar(mag_k, ref), _polar(mag_l, ref - self._ramp(self.angle_spread))
-
-
-def _polar(mag: np.ndarray, angle: np.ndarray) -> np.ndarray:
-    """cmath.rect over arrays: parts stored apart, as 1j * ... can flip a zero's sign."""
-    z = np.empty(len(mag), dtype=complex)
-    z.real = mag * np.cos(angle)
-    z.imag = mag * np.sin(angle)
-    return z
+        vk = _complex(mag_k * np.cos(ref), mag_k * np.sin(ref))
+        angle_l = ref - self._ramp(self.angle_spread)
+        return vk, _complex(mag_l * np.cos(angle_l), mag_l * np.sin(angle_l))
 
 
 @dataclass(frozen=True)
@@ -204,8 +199,8 @@ def run_scenario(
     noise draw and the perturbed starting guess, so a (scenario, configs,
     seed) triple is fully reproducible.  Every method gets the same
     problem, which carries the y1 + y3 = 0 constraint that cmtc and egle
-    enforce; all but tls start from the perturbed guess unless their
-    config sets w0.
+    enforce, and every config without a w0 gets the perturbed guess (tls
+    takes no start and ignores it).
     Estimator failures are captured per entry as "<ExceptionType>: <message>";
     the run continues.
     """
@@ -219,10 +214,7 @@ def run_scenario(
 
     outcomes: list[ScenarioRun] = []
     for config in configs:
-        cfg = config
-        # tls takes no start: its trace begins at zero
-        if cfg.w0 is None and cfg.method != "tls":
-            cfg = replace(config, w0=guess.copy())
+        cfg = config if config.w0 is not None else replace(config, w0=guess.copy())
         try:
             result = estimate(problem, cfg)
             params = admittance_to_params(result.w)

@@ -16,9 +16,9 @@ from eiv_lpe import bench
 from eiv_lpe.bench import BenchConfig, RunRow, median_iqr, rows_from_csv, run_bench
 from eiv_lpe import cli
 from eiv_lpe.cli import main
-from eiv_lpe.estimators import EstimatorConfig
+from eiv_lpe.estimators import EstimatorConfig, Trace
 from eiv_lpe.io import load_bench_config, scenario_from_dict, write_records_csv
-from eiv_lpe.line_model import LineParameters, params_to_admittance
+from eiv_lpe.line_model import LineParameters, admittance_to_params, params_to_admittance
 from eiv_lpe.noise import GaussianNoise, apply_noise
 from eiv_lpe.scenario import LoadRampProfile, Scenario, generate_true_records
 
@@ -143,6 +143,48 @@ def test_bench_plots_are_valid_and_reproducible(tmp_path):
     assert tls_line.get("points") == f"{circle.get('cx')},{circle.get('cy')}"
     assert ET.fromstring(first["s1_cmtc.svg"]).findall(f".//{SVG_NS}circle") == []
     assert run(tmp_path / "b") == first
+
+
+def _loop_trace_are_curve(trace, scenario):
+    """The ARE(r) curve from one validated LineParameters per iterate, as bench built it."""
+    true_r = scenario.line.r
+    out = np.full(len(trace), np.nan)
+    for i, (w, _) in enumerate(trace):
+        try:
+            out[i] = abs((admittance_to_params(w).r - true_r) / true_r)
+        except ValueError:
+            pass
+    return out
+
+
+def test_trace_are_curve_matches_the_per_iterate_loop():
+    rng = np.random.default_rng(21)
+    w_true = params_to_admittance(STOCK)
+    w = w_true * (1.0 + 0.3 * rng.standard_normal((400, 4)))
+    w[:40] *= 10.0 ** rng.uniform(-14, 150, size=(40, 1))  # tiny, huge and overflowing
+    w[300:] = rng.standard_normal((100, 4))  # about half with r < 0
+    w[40] = 0.0  # zero series admittance
+    w[41] = [1e-13, 0.3, -1e-13, 1e-13]  # den just below 1e-24
+    w[42] = [1e-12, 0.3, -1e-12, 1e-12]  # den just above it
+    w[43:46, 1] = [np.nan, np.inf, -np.inf]  # b not finite
+    w[46:49, 3] = [np.nan, np.inf, -np.inf]  # x and b not finite
+    w[49:51, 0] = [np.nan, np.inf]  # r not finite
+    w[51] = [-0.5, 0.2, 0.5, -1.0]  # r < 0
+    w[52] = [0.5, 0.2, -0.5, 0.0]  # x = 0, r > 0: kept
+    w[53] = [0.5, 0.2, 0.5, 1.0]  # r = 0, x != 0: kept
+    w[54] = [1e300, 1e308, -1e300, 1e308]  # y2 + y4 overflows
+    w[55] = [1e200, 0.3, -1e200, 0.5]  # den overflows, so r = x = 0
+    w[56] = [1e-300, 0.3, -1e-300, 1e-300]  # den underflows to 0
+    trace = Trace(w, np.zeros(len(w)))
+    scenario = _tiny_scenario()
+    with np.errstate(all="ignore"):
+        expected = _loop_trace_are_curve(trace, scenario)
+    got = bench._trace_are_curve(trace, scenario)
+    assert np.isnan(expected[[40, 41, *range(43, 52), 54, 55, 56]]).all()
+    assert np.isfinite(expected[[42, 52, 53]]).all()
+    assert np.isnan(expected).sum() > 50 and np.isfinite(expected).sum() > 250
+    assert np.array_equal(np.isnan(got), np.isnan(expected))
+    assert got.tobytes() == expected.tobytes()
 
 
 TITLES = ["s1 / tls", "a&b / <mtc>", "&amp; &lt;", "\"quoted\" / 'single'", "Zürich – 電力 > 1"]
@@ -823,6 +865,25 @@ def test_cli_bench_and_report(tmp_path, monkeypatch):
 def test_cli_bench_missing_config_is_config_error(tmp_path):
     rc = main(["bench", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        (
+            {"estimators": [{"method": "mtc", "max_iters": 3}, {"method": "mtc", "max_iters": 3000}]},
+            "estimator methods must be unique, got ['mtc', 'mtc']",
+        ),
+        ({"seeds": [0, 0]}, "seeds must be unique, got [0, 0]"),
+    ],
+    ids=["method", "seed"],
+)
+def test_cli_bench_rejects_a_repeated_method_or_seed(tmp_path, capsys, override, message):
+    cfg = _bench_config_json(tmp_path, **override)
+    out = tmp_path / "bench"
+    assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])

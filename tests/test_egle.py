@@ -339,11 +339,16 @@ def test_egle_all_candidates_failing_raises():
 
 @pytest.mark.parametrize("method", ["mtee", "mtc", "cmtc", "egle"])
 def test_w0_of_the_wrong_shape_is_rejected(method):
-    # egle checks w0 as the ascent methods do, before numpy's matmul would
+    # egle checks w0 as the ascent methods do, before numpy's matmul would;
+    # a non-finite start is rejected before any iteration could diverge on it
     rng = np.random.default_rng(8)
     problem, _ = _eiv_instance(rng, n=40, p=4, constrained=True)
     with pytest.raises(ValueError, match=r"^w0 must have shape \(4,\)$"):
         estimate(problem, EstimatorConfig(method, w0=np.zeros(3)))
+    for bad in (np.nan, np.inf, -np.inf):
+        w0 = np.array([0.1, bad, -0.1, 0.2])
+        with pytest.raises(ValueError, match=r"^w0 must be finite$"):
+            estimate(problem, EstimatorConfig(method, w0=w0))
 
 
 def _tied_window(n_records, seed):

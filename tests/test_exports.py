@@ -1,5 +1,7 @@
-"""Every name a module exports in __all__ exists; imports load only what runs."""
+"""Every name a module exports in __all__ exists; imports load only what runs;
+no module outside estimators/ branches on a method name."""
 
+import ast
 import importlib
 import json
 import os
@@ -63,3 +65,42 @@ def test_cli_and_bench_imports_load_only_what_they_run():
     assert loaded["eiv_lpe.io"] == []
     assert loaded["eiv_lpe.cli"] == []
     assert loaded["eiv_lpe.bench"] == ["eiv_lpe.bench"]
+
+
+# Estimators decide for themselves what a method needs (its problem, its
+# start); no other module picks a behaviour by comparing a method name.
+METHOD_NAMES = {"tls", "mtee", "mtc", "cmtc", "egle"}
+
+
+def _method_literals(node):
+    if isinstance(node, ast.Constant):
+        return {node.value} & METHOD_NAMES if isinstance(node.value, str) else set()
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return set().union(*(_method_literals(elt) for elt in node.elts))
+    return set()
+
+
+def method_name_comparisons(source: str) -> list[int]:
+    """Line numbers of the comparisons in `source` against a method-name literal."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Compare)
+        and any(_method_literals(side) for side in [node.left, *node.comparators])
+    )
+
+
+def test_method_name_comparisons_are_found():
+    source = 'if a == "tls" or "mtc" != b or m in ("x", "egle") or c == "y": pass\n'
+    assert method_name_comparisons(source) == [1, 1, 1]
+    assert method_name_comparisons('x = {"tls": 1}\nif m in ["a"]: pass\n') == []
+
+
+def test_no_module_outside_estimators_compares_method_names():
+    package = Path(__file__).resolve().parents[1] / "src" / "eiv_lpe"
+    found = {
+        f"{path.name}:{line}"
+        for path in package.glob("*.py")
+        for line in method_name_comparisons(path.read_text())
+    }
+    assert not found, f"method-name comparisons outside estimators/: {sorted(found)}"

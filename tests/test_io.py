@@ -331,3 +331,17 @@ def test_load_bench_config_errors(tmp_path):
     dup_path.write_text(json.dumps(dup))
     with pytest.raises(ConfigError):
         load_bench_config(dup_path)
+
+
+def test_load_bench_config_rejects_a_repeated_method_or_seed(tmp_path):
+    # the report keys each cell by (scenario label, method, seed), so a
+    # repeated method or seed would merge different cells into one
+    mtc_twice = [{"method": "mtc", "max_iters": 3}, {"method": "mtc", "max_iters": 3000}]
+    message = r"^estimator methods must be unique, got \['mtc', 'mtc'\]$"
+    with pytest.raises(ConfigError, match=message):
+        load_bench_config(_valid_config(tmp_path, estimators=mtc_twice))
+    with pytest.raises(ConfigError, match=r"^seeds must be unique, got \[0, 1, 0\]$"):
+        load_bench_config(_valid_config(tmp_path, seeds=[0, 1, 0]))
+    distinct = [{"method": "mtc"}, {"method": "tls"}]
+    cfg = load_bench_config(_valid_config(tmp_path, estimators=distinct))
+    assert [e.method for e in cfg.estimators] == ["mtc", "tls"]

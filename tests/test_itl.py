@@ -273,6 +273,17 @@ def test_ascent_without_w0_starts_from_tls(method):
     assert res.trace[0][0].tobytes() == tls_estimate(problem).w.tobytes()
 
 
+@pytest.mark.parametrize("method", ["mtee", "mtc", "cmtc"])
+def test_w0_is_stored_as_given_and_converted_at_the_start(method):
+    problem = _noisy_stock_window(seed=1)
+    start = params_to_admittance(initial_guess(ORACLE_LINE, 0)).tolist()
+    config = EstimatorConfig(method, w0=start, max_iters=2)
+    assert config.w0 is start
+    res = estimate(problem, config)
+    assert res.trace[0][0].tolist() == start
+    assert config.w0 is start  # the run converted a copy
+
+
 def test_cmtc_constraint_holds_every_iterate():
     rng = np.random.default_rng(7)
     problem, w_true = _random_problem(rng, 80, 3, noise=0.005, constrained=True)

@@ -150,6 +150,30 @@ def test_run_scenario_reproducible_and_constrained_methods():
     assert np.allclose(out1[1].config.w0, guess, atol=1e-12)
 
 
+def test_run_scenario_gives_every_config_without_a_w0_the_guess():
+    sc = Scenario(
+        "s", STOCK, LoadRampProfile(n_records=30, angle_spread=(0.05, 0.3)),
+        GaussianNoise(0.0, 0.002),
+    )
+    own = params_to_admittance(STOCK)
+    configs = [
+        EstimatorConfig("tls"),
+        EstimatorConfig("mtc", max_iters=5),
+        EstimatorConfig("mtc", w0=own, max_iters=5),
+    ]
+    outs = run_scenario(sc, configs, seed=2)
+    guess = params_to_admittance(initial_guess(STOCK, 2))
+    assert all(out.error is None for out in outs)
+    assert np.array_equal(outs[0].config.w0, guess)
+    assert np.array_equal(outs[1].config.w0, guess)
+    assert outs[2].config is configs[2]
+    assert all(config.w0 is None for config in configs[:2])
+    # tls takes no start and ignores the guess: its trace still starts at zeros
+    assert np.array_equal(outs[0].result.trace[0][0], np.zeros(4))
+    assert np.array_equal(outs[1].result.trace[0][0], guess)
+    assert np.array_equal(outs[2].result.trace[0][0], own)
+
+
 def test_run_scenario_captures_estimator_failures():
     sc = Scenario("f", STOCK, LoadRampProfile(n_records=30), GaussianNoise(0.0, 0.002))
     configs = [EstimatorConfig("mtee", step=1e18, kernel_sigma=5.0), EstimatorConfig("tls")]

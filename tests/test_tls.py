@@ -65,11 +65,18 @@ def test_tls_no_solution_direction():
         tls_estimate(problem, EstimatorConfig("tls"))
 
 
-def test_tls_trace_starts_from_w0():
-    problem = EivProblem(np.array([[1.0], [2.0]]), np.array([2.0, 4.0]))
-    res = tls_estimate(problem, EstimatorConfig("tls", w0=np.array([5.0])))
-    assert np.array_equal(res.trace[0][0], [5.0])
-    assert np.allclose(res.trace[-1][0], res.w)
+@pytest.mark.parametrize("w0", [[5.0], [1.0, 2.0], [np.nan]], ids=["valid", "wrong-shape", "nan"])
+def test_tls_takes_no_start(w0):
+    # tls ignores w0: neither read nor checked, its trace starts at zeros
+    problem = EivProblem(np.array([[1.0], [2.0], [3.5]]), np.array([2.0, 4.1, 6.9]))
+    plain = tls_estimate(problem, EstimatorConfig("tls"))
+    res = tls_estimate(problem, EstimatorConfig("tls", w0=np.array(w0)))
+    assert np.array_equal(res.w, plain.w)
+    assert np.array_equal(res.trace.w, plain.trace.w)
+    assert np.array_equal(res.trace.objective, plain.trace.objective)
+    assert (res.iterations, res.converged) == (plain.iterations, plain.converged)
+    assert np.array_equal(res.trace[0][0], [0.0])
+    assert np.array_equal(res.trace[-1][0], res.w)
 
 
 def test_tls_square_consistent_system():
