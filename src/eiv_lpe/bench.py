@@ -343,6 +343,15 @@ def _write_plots(
             warnings.warn(f"plot {scen}/{method} skipped: {exc}")
 
 
+def _blas_library() -> str:
+    """Name and version of the BLAS numpy was built with, or "unknown"."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):
+        return "unknown"
+
+
 def write_report(
     report: BenchReport,
     config: BenchConfig,
@@ -361,7 +370,11 @@ def write_report(
         "failures": report.failures,
         # the run's inputs in the bench config file format, and its environment
         "config": bench_config_to_dict(config),
-        "environment": {"python": platform.python_version(), "numpy": np.__version__},
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "blas": _blas_library(),
+        },
     }
     with open(out / "bench_manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)

@@ -144,7 +144,10 @@ class Trace(Sequence):
 class EgleCandidate:
     """egle's run for one mixture order m: w, trace, outer_iters and converged
     as on an `EstimateResult`; a failed run has bic = inf, its error in
-    `failure`, and None for a mixture it never fitted."""
+    `failure`, and None for a mixture it never fitted.  `newton_steps` is
+    the total of Newton steps over its completed parameter solves and
+    `newton_unconverged` the number of those solves that hit
+    egle.NEWTON_MAX_ITER."""
 
     m: int
     w: np.ndarray
@@ -155,6 +158,8 @@ class EgleCandidate:
     y_gmm: GmmModel | None
     x_gmm: GmmModel | None
     failure: str | None
+    newton_steps: int
+    newton_unconverged: int
 
 
 @dataclass

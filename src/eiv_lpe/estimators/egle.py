@@ -211,6 +211,7 @@ def _fit_candidate(
     deltas: list[float] = []
     damped = False
     converged = False
+    newton_steps = newton_unconverged = 0
     for outer in range(1, config.max_iters + 1):
         y_s, x_s = egle_em_samples(problem, w)
         try:
@@ -226,7 +227,12 @@ def _fit_candidate(
         except (EstimatorError, ValueError) as exc:
             # em_fit rejects non-finite samples once an iterate diverges
             trace = Trace(np.reshape(ws, (-1, p)), sse)
-            return EgleCandidate(m, w, trace, outer, False, np.inf, y_gmm, x_gmm, str(exc))
+            return EgleCandidate(
+                m, w, trace, outer, False, np.inf, y_gmm, x_gmm, str(exc),
+                newton_steps, newton_unconverged,
+            )
+        newton_steps += res.iterations
+        newton_unconverged += not res.converged
         w_next = res.w
         delta = float(np.abs(w_next - w).max())
         # Hard row membership can flip boundary rows back and forth,
@@ -246,7 +252,10 @@ def _fit_candidate(
             converged = True
             break
     bic = gmm_bic(y_fit.loglik, m, n) + gmm_bic(x_fit.loglik, m, n * p)
-    return EgleCandidate(m, w, Trace(ws, sse), outer, converged, float(bic), y_gmm, x_gmm, None)
+    return EgleCandidate(
+        m, w, Trace(ws, sse), outer, converged, float(bic), y_gmm, x_gmm, None,
+        newton_steps, newton_unconverged,
+    )
 
 
 def egle_estimate(problem: EivProblem, config: EstimatorConfig) -> EstimateResult:

@@ -9,9 +9,10 @@ equality constraint through a per-step multiplier update.
 All three run one fixed-step first-order ascent loop, each on one exact
 kernel pass that yields the objective and its gradient together (the
 objective and gradient functions are views of that pass).  MTEE's O(n^2)
-pass evaluates exp once per pair and takes the rest from one BLAS moment
-product per row block; it is exact in real arithmetic, not bit for bit
-equal to elementwise pair sums.  When no step size is given, a
+pass takes each row block's pair differences from one rank-2 BLAS product,
+exact bit for bit, evaluates exp once per pair and takes the rest from one
+BLAS moment product per block; the moments are exact in real arithmetic,
+not bit for bit equal to elementwise pair sums.  When no step size is given, a
 stability-based step is derived from the local curvature at the starting
 point; the divergence guard aborts runs whose iterates blow up.
 """
@@ -81,18 +82,26 @@ def _mtee_value_grad(
     rounding follows the other pairs.  K itself takes d from the
     uncentred e: one rounding per difference instead of three, which
     matters in the tails, where exp turns a relative error in d into one
-    of 2 |ln K| times that in K.
+    of 2 |ln K| times that in K.  Each block's differences come from the
+    rank-2 BLAS product [e_i, 1] @ [-1; e_j] = e_j - e_i: both products
+    are exact, so the one rounded sum equals the subtraction bit for bit
+    (sign aside, which d^2 drops), whatever the order or FMA use.
     """
     x = problem.x
     n = x.shape[0]
     s = float(w @ w) + problem.eps0**-2
     root_s = math.sqrt(s)
-    raw = problem.y - x @ w
+    # rows -1, raw, 1, e: [raw, 1] @ [-1; raw] is a block of pair
+    # differences and [1; e] @ K^T its moments
+    buf = np.empty((4, n))
+    buf[0] = -1.0
+    raw = buf[1]
+    np.subtract(problem.y, x @ w, out=raw)
     raw /= root_s
-    basis = np.empty((2, n))
-    basis[0] = 1.0
-    e = basis[1]
+    buf[2] = 1.0
+    e = buf[3]
     np.subtract(raw, raw.sum() / n, out=e)
+    left, right, basis = buf[1:3].T, buf[0:2], buf[2:4]
     moments = np.empty((2, n))
     rows = _block_rows(n)
     block = np.empty((rows, n))
@@ -100,7 +109,7 @@ def _mtee_value_grad(
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
         k = block[: hi - lo]
-        np.subtract(raw[lo:hi, None], raw, out=k)
+        np.matmul(left[lo:hi], right, out=k)
         np.multiply(k, k, out=k)
         k *= coef
         np.exp(k, out=k)

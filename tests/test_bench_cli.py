@@ -317,8 +317,11 @@ def test_bench_manifest_echoes_config_and_environment(tmp_path):
     assert manifest["scenarios"] == ["s1"]
     assert manifest["estimators"] == ["tls", "cmtc"]
     assert manifest["failures"] == 0
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert manifest["environment"] == {
-        "python": platform.python_version(), "numpy": np.__version__
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": f"{blas['name']} {blas['version']}",
     }
     # the echo is a bench config that loads back to the same run
     scenario = manifest["config"]["scenarios"][0]
@@ -332,6 +335,14 @@ def test_bench_manifest_echoes_config_and_environment(tmp_path):
     loaded, original = load_bench_config(echo), load_bench_config(cfg)
     for key in ("scenarios", "estimators", "seeds"):
         assert getattr(loaded, key) == getattr(original, key)
+
+
+def test_bench_manifest_names_an_unknown_blas(monkeypatch):
+    def show_config(mode="stdout"):
+        raise TypeError("show_config() got an unexpected keyword argument 'mode'")
+
+    monkeypatch.setattr(np, "show_config", show_config)
+    assert bench._blas_library() == "unknown"
 
 
 def test_bench_manifest_echo_loads_back_after_a_run_with_w0(tmp_path):

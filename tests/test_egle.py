@@ -304,6 +304,7 @@ def test_egle_keeps_other_candidates_when_em_fails(monkeypatch):
     assert two.bic == np.inf and two.failure == "samples must be finite"
     assert two.outer_iters == 1 and not two.converged
     assert two.y_gmm is None and two.x_gmm is None and len(two.trace) == 0
+    assert two.newton_steps == two.newton_unconverged == 0
 
 
 def test_egle_starts_from_tls_when_unseeded():
@@ -312,6 +313,38 @@ def test_egle_starts_from_tls_when_unseeded():
     res = egle_estimate(problem, EstimatorConfig("egle", egle_m_max=1))
     w_tls = tls_estimate(problem).w
     assert np.allclose(res.trace[0][0], w_tls, rtol=0, atol=1e-12)
+
+
+def test_egle_candidates_count_their_newton_steps(monkeypatch):
+    # each candidate's counts are the sums over the solves it made, seen
+    # through a wrapper that tells the candidates apart by mixture order
+    rng = np.random.default_rng(4)
+    problem, w_true = _eiv_instance(rng, n=200, p=3, noise=0.02, constrained=True)
+    config = EstimatorConfig("egle", egle_m_max=2, w0=w_true + 0.05)
+    solves = {1: [], 2: []}
+    real_solve = egle.solve_params
+
+    def solve_params(problem, y_gmm, *args):
+        res = real_solve(problem, y_gmm, *args)
+        solves[y_gmm.weights.size].append(res)
+        return res
+
+    monkeypatch.setattr(egle, "solve_params", solve_params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        watched = egle_estimate(problem, config)
+    for c in watched.egle_meta.candidates:
+        assert len(solves[c.m]) == c.outer_iters
+        assert c.newton_steps == sum(r.iterations for r in solves[c.m]) >= c.outer_iters
+        assert c.newton_unconverged == sum(not r.converged for r in solves[c.m]) == 0
+    # one step per solve: every solve ends at the cap, unconverged
+    monkeypatch.setattr(egle, "NEWTON_MAX_ITER", 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        capped = egle_estimate(problem, config)
+    for c in capped.egle_meta.candidates:
+        assert c.failure is None
+        assert c.newton_unconverged == c.newton_steps == c.outer_iters
 
 
 def test_egle_outer_iteration_cap():

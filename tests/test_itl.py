@@ -100,6 +100,40 @@ def _elementwise_value_grad(problem, w, sigma, rows=64):
     return ksum * norm / n**2, grad
 
 
+def _subtract_value_grad(problem, w, sigma):
+    """Oracle: the moment pass as it took each block's pair differences
+    from the broadcast subtract raw[lo:hi, None] - raw."""
+    x = problem.x
+    n = x.shape[0]
+    s = float(w @ w) + problem.eps0**-2
+    root_s = math.sqrt(s)
+    raw = problem.y - x @ w
+    raw /= root_s
+    basis = np.empty((2, n))
+    basis[0] = 1.0
+    e = basis[1]
+    np.subtract(raw, raw.sum() / n, out=e)
+    moments = np.empty((2, n))
+    rows = _block_rows(n)
+    block = np.empty((rows, n))
+    coef = -0.25 / (sigma * sigma)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        k = block[: hi - lo]
+        np.subtract(raw[lo:hi, None], raw, out=k)
+        np.multiply(k, k, out=k)
+        k *= coef
+        np.exp(k, out=k)
+        k.ravel()[lo :: n + 1] = 0.0
+        np.matmul(basis, k.T, out=moments[:, lo:hi])
+    rs = e * moments[0]
+    rs -= moments[1]
+    norm = 1.0 / (2.0 * sigma * math.sqrt(math.pi))
+    scale = norm / (sigma * sigma * n * n)
+    grad = (scale / root_s) * (x.T @ rs) + (scale * float(e @ rs) / s) * w
+    return (float(moments[0].sum()) + n) * norm / (n * n), grad
+
+
 def _gradient_scale(problem, w, sigma):
     """The gradient with every term taken in absolute value.
 
@@ -123,8 +157,7 @@ def _several_ragged_blocks(n):
     return n > rows and n % rows != 0
 
 
-@settings(max_examples=80, deadline=None)
-@given(
+MOMENT_PASS_SPACE = dict(
     n=st.one_of(
         st.just(1),
         st.integers(2, ONE_BLOCK - 1),
@@ -137,26 +170,60 @@ def _several_ragged_blocks(n):
     log_width=st.floats(math.log10(0.02), math.log10(3.0)),
     seed=st.integers(0, 2**31 - 1),
 )
-def test_mtee_moment_pass_matches_elementwise_oracle(n, p, offset, skewed, log_width, seed):
-    # errors spread over 1e-3..1 with a common offset of up to 1e6 spreads,
-    # which only the centring keeps out of e*K1 - Ke; kernel width 0.02-3
-    # error standard deviations, the narrow end leaving points with no
-    # neighbour within many widths
+
+
+def _moment_pass_case(n, p, offset, skewed, log_width, seed, tied=False):
+    """A problem, w and sigma from one draw of MOMENT_PASS_SPACE.
+
+    tied zeroes about half the rows of X and gives their responses one of
+    0.0, -0.0 and +-spread, so that exact repeats and signed zeros put
+    d = 0 off the diagonal.
+    """
     rng = np.random.default_rng(seed)
     p = min(p, n)
     spread = 10.0 ** rng.uniform(-3, 0)
     x = rng.normal(size=(n, p))
     w = rng.normal(size=p)
     noise = rng.gamma(2.0, size=n) if skewed else rng.laplace(size=n)
-    problem = EivProblem(x, x @ w + spread * (noise + offset))
+    y = x @ w + spread * (noise + offset)
+    if tied:
+        rows = rng.random(n) < 0.5
+        x[rows] = 0.0
+        y[rows] = rng.choice([0.0, -0.0, spread, -spread], size=int(rows.sum()))
+    problem = EivProblem(x, y)
     w = w + 0.3 * spread * rng.normal(size=p)
     sigma = 10.0**log_width * (float(np.std(total_error(problem, w))) or 1.0)
+    return problem, w, sigma
+
+
+@settings(max_examples=80, deadline=None)
+@given(**MOMENT_PASS_SPACE)
+def test_mtee_moment_pass_matches_elementwise_oracle(n, p, offset, skewed, log_width, seed):
+    # errors spread over 1e-3..1 with a common offset of up to 1e6 spreads,
+    # which only the centring keeps out of e*K1 - Ke; kernel width 0.02-3
+    # error standard deviations, the narrow end leaving points with no
+    # neighbour within many widths
+    problem, w, sigma = _moment_pass_case(n, p, offset, skewed, log_width, seed)
     value, grad = itl._mtee_value_grad(problem, w, sigma)
     ref_value, ref_grad = _elementwise_value_grad(problem, w, sigma)
     assert abs(value - ref_value) <= 1e-13 * ref_value
     # the floor covers gradients whose kernel values are subnormal
     scale = _gradient_scale(problem, w, sigma).max()
     assert np.abs(grad - ref_grad).max() <= 1e-13 * scale + 1e-300
+
+
+@settings(max_examples=80, deadline=None)
+@given(**MOMENT_PASS_SPACE, tied=st.booleans())
+def test_mtee_rank_two_differences_match_subtract_oracle_bit_for_bit(
+    n, p, offset, skewed, log_width, seed, tied
+):
+    # [raw_i, 1] @ [-1; raw_j] rounds one sum of two exact products, as the
+    # subtraction does, so K and everything after it keep every bit
+    problem, w, sigma = _moment_pass_case(n, p, offset, skewed, log_width, seed, tied)
+    value, grad = itl._mtee_value_grad(problem, w, sigma)
+    ref_value, ref_grad = _subtract_value_grad(problem, w, sigma)
+    assert value == ref_value
+    assert grad.tobytes() == ref_grad.tobytes()
 
 
 ORACLE_LINE = LineParameters(r=0.00269, x=0.0302, b=0.38)
