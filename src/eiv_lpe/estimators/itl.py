@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable
+from functools import partial
 
 import numpy as np
 
@@ -63,10 +65,10 @@ def _block_rows(n: int) -> int:
     return -(-n // -(-n * n // KERNEL_BLOCK_ENTRIES))
 
 
-def _mtee_value_grad(
-    problem: EivProblem, w: np.ndarray, sigma: float
-) -> tuple[float, np.ndarray]:
-    """Information potential and its exact gradient, sharing one kernel pass.
+def _mtee_kernel(
+    problem: EivProblem, sigma: float
+) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
+    """The pass w -> (information potential, exact gradient) on one problem.
 
     The pairwise kernel has width sigma * sqrt(2) (sum of two width-sigma
     Parzen windows), normalized as a density.  Gradient:
@@ -86,51 +88,61 @@ def _mtee_value_grad(
     rank-2 BLAS product [e_i, 1] @ [-1; e_j] = e_j - e_i: both products
     are exact, so the one rounded sum equals the subtraction bit for bit
     (sign aside, which d^2 drops), whatever the order or FMA use.
+
+    The buffers, the views of each row block and the constants depend
+    only on the problem and sigma, so an ascent sets them up once and
+    each call runs only the arithmetic.
     """
-    x = problem.x
+    x, y = problem.x, problem.y
     n = x.shape[0]
-    s = float(w @ w) + problem.eps0**-2
-    root_s = math.sqrt(s)
-    # rows -1, raw, 1, e: [raw, 1] @ [-1; raw] is a block of pair
+    inv_eps2 = problem.eps0**-2
+    # rows -1, raw, 1, e, K1, Ke: [raw, 1] @ [-1; raw] is a block of pair
     # differences and [1; e] @ K^T its moments
-    buf = np.empty((4, n))
+    buf = np.empty((6, n))
     buf[0] = -1.0
-    raw = buf[1]
-    np.subtract(problem.y, x @ w, out=raw)
-    raw /= root_s
     buf[2] = 1.0
-    e = buf[3]
-    np.subtract(raw, raw.sum() / n, out=e)
-    left, right, basis = buf[1:3].T, buf[0:2], buf[2:4]
-    moments = np.empty((2, n))
+    raw, e, k1, ke = buf[1], buf[3], buf[4], buf[5]
+    right, basis = buf[0:2], buf[2:4]
     rows = _block_rows(n)
     block = np.empty((rows, n))
-    coef = -0.25 / (sigma * sigma)
+    blocks = []
     for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        k = block[: hi - lo]
-        np.matmul(left[lo:hi], right, out=k)
-        np.multiply(k, k, out=k)
-        k *= coef
-        np.exp(k, out=k)
-        k.ravel()[lo :: n + 1] = 0.0
-        np.matmul(basis, k.T, out=moments[:, lo:hi])
-    rs = e * moments[0]
-    rs -= moments[1]
+        k = block[: min(rows, n - lo)]
+        cols = slice(lo, lo + rows)
+        blocks.append((buf[1:3, cols].T, k, k.ravel()[lo :: n + 1], k.T, buf[4:6, cols]))
+    coef = -0.25 / (sigma * sigma)
     norm = 1.0 / (2.0 * sigma * math.sqrt(math.pi))
     scale = norm / (sigma * sigma * n * n)
-    grad = (scale / root_s) * (x.T @ rs) + (scale * float(e @ rs) / s) * w
-    return (float(moments[0].sum()) + n) * norm / (n * n), grad
+
+    def value_grad(w: np.ndarray) -> tuple[float, np.ndarray]:
+        s = float(w @ w) + inv_eps2
+        root_s = math.sqrt(s)
+        np.subtract(y, x @ w, out=raw)
+        np.divide(raw, root_s, out=raw)
+        np.subtract(raw, raw.sum() / n, out=e)
+        for left, k, diagonal, k_t, moments in blocks:
+            np.matmul(left, right, out=k)
+            np.multiply(k, k, out=k)
+            np.multiply(k, coef, out=k)
+            np.exp(k, out=k)
+            diagonal[:] = 0.0
+            np.matmul(basis, k_t, out=moments)
+        rs = e * k1
+        rs -= ke
+        grad = (scale / root_s) * (x.T @ rs) + (scale * float(e @ rs) / s) * w
+        return (float(k1.sum()) + n) * norm / (n * n), grad
+
+    return value_grad
 
 
 def mtee_objective(problem: EivProblem, w: np.ndarray, sigma: float) -> float:
     """Parzen quadratic information potential of the total error (O(n^2))."""
-    return _mtee_value_grad(problem, np.asarray(w, dtype=float), sigma)[0]
+    return _mtee_kernel(problem, sigma)(np.asarray(w, dtype=float))[0]
 
 
 def mtee_gradient(problem: EivProblem, w: np.ndarray, sigma: float) -> np.ndarray:
     """Exact gradient of mtee_objective with respect to w."""
-    return _mtee_value_grad(problem, np.asarray(w, dtype=float), sigma)[1]
+    return _mtee_kernel(problem, sigma)(np.asarray(w, dtype=float))[1]
 
 
 def _lam_max(problem: EivProblem) -> float:
@@ -199,8 +211,11 @@ def _ascent(problem: EivProblem, config: EstimatorConfig, method: str) -> Estima
     warm_start and stops when the max-norm update is <= tol.
     """
     start = time.perf_counter()
-    value_grad = _mtee_value_grad if method == "mtee" else _mtc_value_grad
     sigma = float(config.kernel_sigma)
+    if method == "mtee":
+        value_grad = _mtee_kernel(problem, sigma)
+    else:
+        value_grad = partial(_mtc_value_grad, problem, sigma=sigma)
     constrained = method == "cmtc"
     if constrained:
         if problem.constraint is None:
@@ -217,7 +232,7 @@ def _ascent(problem: EivProblem, config: EstimatorConfig, method: str) -> Estima
     iterations = 0
     converged = False
     for r in range(config.max_iters):
-        value, grad = value_grad(problem, w, sigma)
+        value, grad = value_grad(w)
         ws.append(w)
         values.append(value)
         w_next = w + step * grad
@@ -231,7 +246,7 @@ def _ascent(problem: EivProblem, config: EstimatorConfig, method: str) -> Estima
             converged = True
             break
     ws.append(w)
-    values.append(value_grad(problem, w, sigma)[0])
+    values.append(value_grad(w)[0])
     return EstimateResult(
         method=method,
         w=w,

@@ -204,7 +204,7 @@ def test_mtee_moment_pass_matches_elementwise_oracle(n, p, offset, skewed, log_w
     # error standard deviations, the narrow end leaving points with no
     # neighbour within many widths
     problem, w, sigma = _moment_pass_case(n, p, offset, skewed, log_width, seed)
-    value, grad = itl._mtee_value_grad(problem, w, sigma)
+    value, grad = itl._mtee_kernel(problem, sigma)(w)
     ref_value, ref_grad = _elementwise_value_grad(problem, w, sigma)
     assert abs(value - ref_value) <= 1e-13 * ref_value
     # the floor covers gradients whose kernel values are subnormal
@@ -220,7 +220,7 @@ def test_mtee_rank_two_differences_match_subtract_oracle_bit_for_bit(
     # [raw_i, 1] @ [-1; raw_j] rounds one sum of two exact products, as the
     # subtraction does, so K and everything after it keep every bit
     problem, w, sigma = _moment_pass_case(n, p, offset, skewed, log_width, seed, tied)
-    value, grad = itl._mtee_value_grad(problem, w, sigma)
+    value, grad = itl._mtee_kernel(problem, sigma)(w)
     ref_value, ref_grad = _subtract_value_grad(problem, w, sigma)
     assert value == ref_value
     assert grad.tobytes() == ref_grad.tobytes()
@@ -241,7 +241,10 @@ def test_mtee_stops_where_the_elementwise_oracle_stops(seed, monkeypatch):
     guess = params_to_admittance(initial_guess(ORACLE_LINE, seed))
     config = EstimatorConfig("mtee", w0=guess)
     res = mtee_estimate(problem, config)
-    monkeypatch.setattr(itl, "_mtee_value_grad", _elementwise_value_grad)
+    def elementwise_kernel(problem, sigma):
+        return lambda w: _elementwise_value_grad(problem, w, sigma)
+
+    monkeypatch.setattr(itl, "_mtee_kernel", elementwise_kernel)
     ref = mtee_estimate(problem, config)
     assert res.converged and ref.converged
     assert res.iterations == ref.iterations
