@@ -402,12 +402,15 @@ def _mtee_problem(n_records, seed=0):
 def test_criterion_9_complexity_proxy(criterion_log):
     guess = params_to_admittance(initial_guess(TRUTH, 0))
     # (a) per-iteration scaling between 200 and 400 regression rows: the
-    # best of 5 fixed 200-iteration runs per size, the sizes alternating so
-    # that a busy spell hits both, each run timed in this thread's CPU time
-    # so that time spent descheduled does not count
+    # best of 5 fixed 200-iteration runs per size after one untimed run of
+    # each, the sizes alternating so that a busy spell hits both, each run
+    # timed in this thread's CPU time so that time spent descheduled does
+    # not count
     problems = {4 * n: _mtee_problem(n) for n in (50, 100)}
     config = EstimatorConfig("mtee", w0=guess.copy(), max_iters=200, tol=1e-300)
     per_iter = dict.fromkeys(problems, math.inf)
+    for problem in problems.values():
+        mtee_estimate(problem, config)
     for _ in range(5):
         for rows, problem in problems.items():
             t0 = time.thread_time()
