@@ -218,9 +218,12 @@ def test_mtee_rank_two_differences_match_subtract_oracle_bit_for_bit(
     n, p, offset, skewed, log_width, seed, tied
 ):
     # [raw_i, 1] @ [-1; raw_j] rounds one sum of two exact products, as the
-    # subtraction does, so K and everything after it keep every bit
+    # subtraction does, so K and everything after it keep every bit; the
+    # kernel is called once before, as an ascent reuses it
     problem, w, sigma = _moment_pass_case(n, p, offset, skewed, log_width, seed, tied)
-    value, grad = itl._mtee_kernel(problem, sigma)(w)
+    kernel = itl._mtee_kernel(problem, sigma)
+    kernel(2.0 * w)
+    value, grad = kernel(w)
     ref_value, ref_grad = _subtract_value_grad(problem, w, sigma)
     assert value == ref_value
     assert grad.tobytes() == ref_grad.tobytes()
@@ -241,6 +244,7 @@ def test_mtee_stops_where_the_elementwise_oracle_stops(seed, monkeypatch):
     guess = params_to_admittance(initial_guess(ORACLE_LINE, seed))
     config = EstimatorConfig("mtee", w0=guess)
     res = mtee_estimate(problem, config)
+
     def elementwise_kernel(problem, sigma):
         return lambda w: _elementwise_value_grad(problem, w, sigma)
 
