@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import noise
 from ..line_model import EivProblem
 from ..noise import GmmModel, em_fit, gmm_bic
 from .config import (
@@ -201,6 +202,14 @@ def _fit_candidate(
     halved once they stop contracting (see the loop comment).  A singular
     Newton system, a non-finite step or EM rejecting diverged samples ends
     the candidate as failed.
+
+    Columns of x_s whose w_j share a sign are the same bits.  For m >= 2,
+    when every sign of w occurs equally often and one column per sign holds
+    noise.EM_LARGE_FIT_SAMPLES samples or more, the x mixture is fitted on
+    those distinct columns alone: EM takes the same steps in real
+    arithmetic, and the BIC counts their log likelihood once per copy
+    (McLachlan & Jones 1988).  Every other fit, m = 1's closed form among
+    them, sees all n * p samples.
     """
     n, p = problem.x.shape
     w = w0.copy()
@@ -214,6 +223,10 @@ def _fit_candidate(
     newton_steps = newton_unconverged = 0
     for outer in range(1, config.max_iters + 1):
         y_s, x_s = egle_em_samples(problem, w)
+        signs, first, counts = np.unique(np.sign(w), return_index=True, return_counts=True)
+        copies = 1
+        if m > 1 and (counts == counts[0]).all() and n * signs.size >= noise.EM_LARGE_FIT_SAMPLES:
+            copies, x_s = int(counts[0]), x_s[:, np.sort(first)]
         try:
             y_fit = em_fit(y_s, m, config.seed, init=y_gmm)
             y_gmm = y_fit.model
@@ -251,7 +264,7 @@ def _fit_candidate(
         if delta <= config.tol:
             converged = True
             break
-    bic = gmm_bic(y_fit.loglik, m, n) + gmm_bic(x_fit.loglik, m, n * p)
+    bic = gmm_bic(y_fit.loglik, m, n) + gmm_bic(copies * x_fit.loglik, m, n * p)
     return EgleCandidate(
         m, w, Trace(ws, sse), outer, converged, float(bic), y_gmm, x_gmm, None,
         newton_steps, newton_unconverged,

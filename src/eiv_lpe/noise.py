@@ -33,14 +33,11 @@ __all__ = [
 VARIANCE_FLOOR = 1e-12
 COLLAPSE_FLAG = 1e-14
 
-# Fits on this many samples or more take NumPy's pairwise M-step sums and run
-# their two cold EM starts on two threads; smaller ones keep the left-to-right
-# sums that criterion 3's printed egle medians follow (at 2**12 criterion 4's
-# seed-4 estimate already moves).  Cold m = 2 fits of egle's x samples at the
-# TLS w, 2 cores, medians of 5 runs: serial/threaded time 1.00-1.18 at 16,384
-# samples and 1.70-1.72 at 32,000; threaded 0.18-0.33 s and 0.42-0.45 s,
-# against 0.31-0.44 s and 0.73-0.75 s with left-to-right sums.
-EM_LARGE_FIT_SAMPLES = 1 << 14
+# Fits on this many samples or more take NumPy's pairwise M-step sums, so they
+# match the (n, m) layout to rounding; smaller ones keep the left-to-right sums,
+# and with them the bits that criterion 3's printed egle medians follow (at
+# 2**12 criterion 4's seed-4 estimate already moves).
+EM_LARGE_FIT_SAMPLES = 1 << 13
 
 EM_TOL = 1e-9  # em_fit stops once an iteration gains under EM_TOL * max(1, |loglik|)
 
@@ -275,10 +272,9 @@ def em_fit(
     pooled sample variance, uniform weights.  One additional restart with
     seed-perturbed means is run, and it wins only with a strictly higher
     final log likelihood: a tie or a NaN keeps the quantile start.  On
-    ``EM_LARGE_FIT_SAMPLES`` samples or more the two starts run at once,
-    the perturbed one on a helper thread, with the same results as one
-    after the other, and the M-step sums are pairwise: those fits match the
-    (n, m) layout to rounding, smaller ones bit for bit (see _row_sums).
+    ``EM_LARGE_FIT_SAMPLES`` samples or more the M-step sums are pairwise:
+    those fits match the (n, m) layout to rounding, smaller ones bit for
+    bit (see _row_sums).
     Passing a warm-start model via ``init`` replaces both cold starts with
     a single run from that model's parameters.  For m = 1 the closed-form
     sample moments take the place of EM (``init`` is not used).
@@ -317,19 +313,10 @@ def em_fit(
         rng = np.random.default_rng(seed)
         perturbed = quantiles + rng.normal(0.0, np.sqrt(pooled), size=m)
 
-        def run(mu0):
-            return _em_once(x, w0.copy(), mu0.astype(float).copy(), var0.copy(), EM_TOL, max_iter)
-
-        if x.size >= EM_LARGE_FIT_SAMPLES:
-            import contextvars
-            from concurrent.futures import ThreadPoolExecutor
-
-            # a copy of this context carries the caller's np.errstate over
-            with ThreadPoolExecutor(max_workers=1) as pool:
-                helper = pool.submit(contextvars.copy_context().run, run, perturbed)
-                first, second = run(quantiles), helper.result()
-        else:
-            first, second = run(quantiles), run(perturbed)
+        first, second = (
+            _em_once(x, w0.copy(), mu0.astype(float).copy(), var0.copy(), EM_TOL, max_iter)
+            for mu0 in (quantiles, perturbed)
+        )
         best = second if second[4][-1] > first[4][-1] else first
         w, mu, var, resp, history, converged, floored = best
 

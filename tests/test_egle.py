@@ -251,9 +251,23 @@ def test_egle_estimate_near_truth_and_meta():
     assert abs((c.T @ res.w).item() - f_vec.item()) < 1e-10
 
 
+def _spy_em_fit(monkeypatch):
+    """Record (m, sample count) of every em_fit call egle makes."""
+    real_em_fit, calls = egle.em_fit, []
+
+    def em_fit(samples, m, *args, **kwargs):
+        calls.append((m, samples.size))
+        return real_em_fit(samples, m, *args, **kwargs)
+
+    monkeypatch.setattr(egle, "em_fit", em_fit)
+    return calls
+
+
 def test_egle_estimate_on_a_long_window_does_not_move_with_pairwise_sums(monkeypatch):
-    # criterion 2's shape on 1,024 records: the x fits have 16 * 1,024 = 2**14
-    # samples, so they sum pairwise, and the reported candidate is m = 1
+    # criterion 2's shape on 1,024 records: the x samples are 16 * 1,024 =
+    # 2**14 copies of 2**13 distinct values (w's signs are +, +, -, -), so the
+    # m = 2 x fits run on the distinct half and sum pairwise, and the reported
+    # candidate is m = 1
     scenario = Scenario(
         "long", LineParameters(r=0.00269, x=0.0302, b=0.38),
         LoadRampProfile(n_records=1024, vk_mag=(1.00, 1.02), angle_spread=(0.04, 0.24),
@@ -267,10 +281,19 @@ def test_egle_estimate_on_a_long_window_does_not_move_with_pairwise_sums(monkeyp
             (out,) = run_scenario(scenario, [EstimatorConfig("egle")], seed=0)
         return out.result
 
+    calls = _spy_em_fit(monkeypatch)
     res = run()
-    # above every sample count, the constant gives left-to-right sums everywhere
+    problem = build_regression(apply_noise(generate_true_records(scenario), scenario.noise, 0))
+    n, p = problem.x.shape
+    assert (n, p) == (4096, 4)
+    # y fits get the n rows; x fits get all 4n samples at m = 1, the 2n distinct ones at m = 2
+    assert {size for m, size in calls if m == 1} == {n, 4 * n}
+    assert {size for m, size in calls if m == 2} == {n, 2 * n}
+    # above every sample count, the constant gives left-to-right sums on all 4n samples
     monkeypatch.setattr(noise, "EM_LARGE_FIT_SAMPLES", 1 << 30)
+    calls.clear()
     ref = run()
+    assert {size for m, size in calls if m == 2} == {n, 4 * n}
     meta, ref_meta = res.egle_meta, ref.egle_meta
     assert meta.m_star == ref_meta.m_star == 1
     assert res.w.tobytes() == ref.w.tobytes()
@@ -281,6 +304,36 @@ def test_egle_estimate_on_a_long_window_does_not_move_with_pairwise_sums(monkeyp
     assert (one.outer_iters, two.outer_iters) == (ref_one.outer_iters, ref_two.outer_iters)
     assert one.bic == ref_one.bic
     assert two.bic == pytest.approx(ref_two.bic, rel=1e-9, abs=0)
+    # the m = 2 BIC is that of the final mixtures on the last refit's full samples
+    y_s, x_s = egle_em_samples(problem, two.trace.w[-2])
+    bic = noise.gmm_bic(two.y_gmm.log_density(y_s).sum(), 2, n) + noise.gmm_bic(
+        two.x_gmm.log_density(x_s.ravel()).sum(), 2, n * p
+    )
+    assert two.bic == pytest.approx(bic, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize(
+    "signs, distinct_columns",
+    [((1, 1, -1, -1), 2), ((1, -1, 1, -1), 2), ((1, 1, 1, 1), 1), ((1, 1, 1, -1), 4)],
+    ids=["2+2", "alternating", "4", "3+1"],
+)
+def test_egle_fits_x_mixtures_on_distinct_columns_only_when_signs_pair_up(
+    monkeypatch, signs, distinct_columns
+):
+    rng = np.random.default_rng(11)
+    n, p = 200, 4
+    w_true = np.array(signs) * rng.uniform(1.0, 2.0, p)
+    x = rng.normal(size=(n, p))
+    problem = EivProblem(x + 0.02 * rng.normal(size=(n, p)), x @ w_true + 0.02 * rng.normal(size=n))
+    calls = _spy_em_fit(monkeypatch)
+    # every fit counts as large, so only the sign counts decide
+    monkeypatch.setattr(noise, "EM_LARGE_FIT_SAMPLES", 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        res = egle_estimate(problem, EstimatorConfig("egle", egle_m_max=2, w0=w_true))
+    assert all(c.failure is None for c in res.egle_meta.candidates)
+    assert {size for m, size in calls if m == 1} == {n, n * p}
+    assert {size for m, size in calls if m == 2} == {n, n * distinct_columns}
 
 
 def test_egle_keeps_other_candidates_when_em_fails(monkeypatch):

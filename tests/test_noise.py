@@ -1,6 +1,5 @@
 """Noise models, seeded sampling, record corruption and GMM/EM fitting."""
 
-import threading
 import warnings
 from unittest import mock
 
@@ -361,7 +360,7 @@ def test_large_em_fit_matches_nm_layout_to_rounding(size):
     assert _same_bits(fit.labels, ref.labels)
 
 
-# --- the two cold starts: row sums and the helper thread ----------------------
+# --- the two cold starts and their row sums ------------------------------------
 
 _LARGE = np.random.default_rng(7).lognormal(size=(2, noise.EM_LARGE_FIT_SAMPLES)) * [[1.0], [1e-8]]
 
@@ -430,14 +429,14 @@ def test_cold_em_fit_matches_serial_two_start_loop(size, seed):
     [(-5.0, False), (-4.0, True), (np.nan, False)],
     ids=["tie", "higher", "nan"],
 )
-def test_cold_start_selection_and_helper_thread(size, second, perturbed_wins):
+def test_cold_start_selection(size, second, perturbed_wins):
     x = np.linspace(-1.0, 1.0, size)
     quantiles = np.quantile(x, [0.25, 0.75])
     calls = []
 
     def fake_em_once(x, w, mu, var, tol, max_iter):
         is_quantile_start = np.array_equal(mu, quantiles)
-        calls.append((is_quantile_start, threading.get_ident(), np.geterr()["over"]))
+        calls.append((is_quantile_start, np.geterr()["over"]))
         final = -5.0 if is_quantile_start else second
         return w, mu, var, np.full((2, x.size), 0.5), [-9.0, final], True, False
 
@@ -445,16 +444,11 @@ def test_cold_start_selection_and_helper_thread(size, second, perturbed_wins):
         fit = em_fit(x, 2, seed=3)
     assert np.array_equal(fit.model.means, quantiles) != perturbed_wins
     assert fit.loglik_history[-1] == (second if perturbed_wins else -5.0)
-    # the quantile start runs in the caller; the perturbed one runs on a
-    # helper thread for large fits, under the caller's np.errstate
-    threaded = size >= noise.EM_LARGE_FIT_SAMPLES
-    by_start = {start: (ident, over) for start, ident, over in calls}
-    assert by_start[True] == (threading.get_ident(), "raise")
-    assert (by_start[False][0] != threading.get_ident()) == threaded
-    assert by_start[False][1] == "raise"
+    # the quantile start, then the perturbed one, both under the caller's np.errstate
+    assert calls == [(True, "raise"), (False, "raise")]
 
 
-def test_cold_start_helper_error_propagates():
+def test_cold_start_error_propagates():
     x = np.linspace(-1.0, 1.0, noise.EM_LARGE_FIT_SAMPLES)
     quantiles = np.quantile(x, [0.25, 0.75])
 
