@@ -203,13 +203,12 @@ def _fit_candidate(
     Newton system, a non-finite step or EM rejecting diverged samples ends
     the candidate as failed.
 
-    Columns of x_s whose w_j share a sign are the same bits.  For m >= 2,
-    when every sign of w occurs equally often and one column per sign holds
-    noise.EM_LARGE_FIT_SAMPLES samples or more, the x mixture is fitted on
-    those distinct columns alone: EM takes the same steps in real
-    arithmetic, and the BIC counts their log likelihood once per copy
-    (McLachlan & Jones 1988).  Every other fit, m = 1's closed form among
-    them, sees all n * p samples.
+    Columns of x_s whose w_j share a sign are the same bits.  When every
+    sign occurs equally often and one column per sign holds
+    noise.EM_LARGE_FIT_SAMPLES samples or more, m >= 2 x fits run on those
+    columns, taking the same EM steps in real arithmetic, and the BIC counts
+    their log likelihood once per copy (McLachlan & Jones 1988).  Every
+    other fit, m = 1's closed form among them, sees all n * p samples.
     """
     n, p = problem.x.shape
     w = w0.copy()

@@ -313,10 +313,10 @@ def em_fit(
         rng = np.random.default_rng(seed)
         perturbed = quantiles + rng.normal(0.0, np.sqrt(pooled), size=m)
 
-        first, second = (
-            _em_once(x, w0.copy(), mu0.astype(float).copy(), var0.copy(), EM_TOL, max_iter)
-            for mu0 in (quantiles, perturbed)
-        )
+        def run(mu0):
+            return _em_once(x, w0.copy(), mu0.astype(float).copy(), var0.copy(), EM_TOL, max_iter)
+
+        first, second = run(quantiles), run(perturbed)
         best = second if second[4][-1] > first[4][-1] else first
         w, mu, var, resp, history, converged, floored = best
 
