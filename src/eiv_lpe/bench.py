@@ -131,6 +131,8 @@ def run_bench(config: BenchConfig) -> BenchReport:
         for est in config.estimators
         for seed in config.seeds
     ]
+    # an unusable output directory fails here, before any cell runs
+    Path(config.output_dir).mkdir(parents=True, exist_ok=True)
     workers = min(config.jobs, len(cells))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import shutil
 import sys
 from dataclasses import replace
@@ -34,20 +33,6 @@ from .scenario import LoadRampProfile, Scenario, generate_true_records, stock_li
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_FAILED = 3
-
-
-def _bench_jobs(args) -> int:
-    """Worker processes from --jobs, else EIV_LPE_JOBS, else 1."""
-    source, jobs = "--jobs", args.jobs
-    if jobs is None:
-        source, env = "EIV_LPE_JOBS", os.environ.get("EIV_LPE_JOBS", "1")
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise ConfigError(f"{source} must be a positive integer, got {env!r}") from None
-    if jobs < 1:
-        raise ConfigError(f"{source} must be a positive integer, got {jobs}")
-    return jobs
 
 
 def _check_seed(args) -> None:
@@ -118,14 +103,17 @@ def cmd_estimate(args) -> int:
     """Run one estimator on a PMU CSV and write result + trace CSVs.
 
     A config file sets no w0, so the iterative methods start from the TLS
-    solution of the same file (see estimators.tls.warm_start).
+    solution of the same file (see estimators.tls.warm_start).  The output
+    directory is made once the inputs are read and checked, before the
+    estimator runs.
     """
     records = read_records_csv(args.data)
     config = estimator_from_dict(read_json(args.config))
-    result = estimate(build_regression(records), config)
-    params = admittance_to_params(result.w)
+    problem = build_regression(records)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    result = estimate(problem, config)
+    params = admittance_to_params(result.w)
     stem = Path(args.data).stem
     with open(out / f"{stem}_{config.method}_result.csv", "w") as fh:
         fh.write("method,r_hat,x_hat,b_hat,w1,w2,w3,w4,iterations,converged,elapsed\n")
@@ -150,7 +138,9 @@ def cmd_bench(args) -> int:
     """Run the configured scenario x estimator x seed grid."""
     from .bench import run_bench  # only bench and report load the harness
     _check_seed(args)
-    flags = {"jobs": _bench_jobs(args), "plots": not args.no_plots}
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be a positive integer, got {args.jobs}")
+    flags = {"jobs": args.jobs, "plots": not args.no_plots}
     config = load_bench_config(args.config)
     if args.out:
         flags["output_dir"] = Path(args.out)
@@ -203,8 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--config", required=True, help="bench config JSON")
     ben.add_argument("--out", default=None, help="output directory override")
     ben.add_argument("--seed", type=int, default=None, help="single-seed override")
-    ben.add_argument("--jobs", type=int, default=None,
-                     help="worker processes (default EIV_LPE_JOBS, else 1)")
+    ben.add_argument("--jobs", type=int, default=1, help="worker processes")
     ben.add_argument("--no-plots", action="store_true", help="skip SVG plots")
     ben.set_defaults(func=cmd_bench)
 

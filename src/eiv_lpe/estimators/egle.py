@@ -5,11 +5,11 @@ Gaussian mixtures sharing a component count m.  Rows are assigned to mixture
 components, and for each candidate m the estimator alternates two steps:
 refit both mixtures by EM on the normalized total error of the current
 parameters (egle_em_samples), and re-solve the parameter stationarity system
-by Newton's method (with a KKT-augmented system when the problem carries an
-equality constraint).  Each iterate's trace objective is the standardized
-SSE of the conditional-mean noise estimates, 1/2 sum_i alpha_i^2 gamma_sig_i
-in the notation of _group_terms.  The final m is chosen by the lowest summed
-BIC of the two mixture fits.
+by Newton's method on its KKT system, which is the Jacobian itself when the
+problem carries no equality constraint.  Each iterate's trace objective is
+the standardized SSE of the conditional-mean noise estimates,
+1/2 sum_i alpha_i^2 gamma_sig_i in the notation of _group_terms.  The final
+m is chosen by the lowest summed BIC of the two mixture fits.
 """
 
 from __future__ import annotations
@@ -125,35 +125,31 @@ def solve_params(
 
     Each step takes f and its closed-form Jacobian from one row pass, and
     the solve stops once a step's max norm is at most NEWTON_TOL, or after
-    NEWTON_MAX_ITER steps.  With an equality constraint C^T w = f the step
-    solves the KKT-augmented system, so every iterate after the first lies
-    exactly on the constraint set.
+    NEWTON_MAX_ITER steps.  The step solves the KKT system of the equality
+    constraint C^T w = f, so every iterate after the first lies exactly on
+    the constraint set; without a constraint C has no columns and the
+    system is the Jacobian itself.
 
     Raises
     ------
     EstimatorError
-        If the (augmented) Jacobian is singular.
+        If the KKT system is singular.
     """
     w = np.asarray(w0, dtype=float).copy()
     p = w.size
-    constrained = problem.constraint is not None
-    if constrained:
-        c_mat, f_vec = problem.constraint
-        c = c_mat.shape[1]
+    c_mat, f_vec = problem.constraint or (np.zeros((p, 0)), np.zeros(0))
+    c = c_mat.shape[1]
     converged = False
     iterations = 0
     for it in range(NEWTON_MAX_ITER):
         f0, jac = newton_system(problem, w, y_gmm, x_gmm, labels)
+        kkt = np.zeros((p + c, p + c))
+        kkt[:p, :p] = jac
+        kkt[:p, p:] = c_mat
+        kkt[p:, :p] = c_mat.T
+        rhs = np.concatenate([-f0, f_vec - c_mat.T @ w])
         try:
-            if constrained:
-                kkt = np.zeros((p + c, p + c))
-                kkt[:p, :p] = jac
-                kkt[:p, p:] = c_mat
-                kkt[p:, :p] = c_mat.T
-                rhs = np.concatenate([-f0, f_vec - c_mat.T @ w])
-                step = np.linalg.solve(kkt, rhs)[:p]
-            else:
-                step = np.linalg.solve(jac, -f0)
+            step = np.linalg.solve(kkt, rhs)[:p]
         except np.linalg.LinAlgError as exc:
             cond = np.linalg.cond(jac)
             raise EstimatorError(
@@ -219,6 +215,7 @@ def _fit_candidate(
     deltas: list[float] = []
     damped = False
     converged = False
+    failure = None
     newton_steps = newton_unconverged = 0
     for outer in range(1, config.max_iters + 1):
         y_s, x_s = egle_em_samples(problem, w)
@@ -238,11 +235,8 @@ def _fit_candidate(
             res = solve_params(problem, y_gmm, x_gmm, labels, w)
         except (EstimatorError, ValueError) as exc:
             # em_fit rejects non-finite samples once an iterate diverges
-            trace = Trace(np.reshape(ws, (-1, p)), sse)
-            return EgleCandidate(
-                m, w, trace, outer, False, np.inf, y_gmm, x_gmm, str(exc),
-                newton_steps, newton_unconverged,
-            )
+            failure = str(exc)
+            break
         newton_steps += res.iterations
         newton_unconverged += not res.converged
         w_next = res.w
@@ -263,10 +257,12 @@ def _fit_candidate(
         if delta <= config.tol:
             converged = True
             break
-    bic = gmm_bic(y_fit.loglik, m, n) + gmm_bic(copies * x_fit.loglik, m, n * p)
+    bic = np.inf
+    if failure is None:
+        bic = gmm_bic(y_fit.loglik, m, n) + gmm_bic(copies * x_fit.loglik, m, n * p)
     return EgleCandidate(
-        m, w, Trace(ws, sse), outer, converged, float(bic), y_gmm, x_gmm, None,
-        newton_steps, newton_unconverged,
+        m, w, Trace(np.reshape(ws, (-1, p)), sse), outer, converged, float(bic),
+        y_gmm, x_gmm, failure, newton_steps, newton_unconverged,
     )
 
 

@@ -846,11 +846,10 @@ def test_cli_estimate_non_finite_cell_is_config_error(tmp_path, capsys, method, 
     assert not out.exists()
 
 
-def test_cli_bench_and_report(tmp_path, monkeypatch):
+def test_cli_bench_and_report(tmp_path):
     cfg = _bench_config_json(tmp_path)
     out = tmp_path / "bench"
-    monkeypatch.setenv("EIV_LPE_JOBS", "2")
-    assert main(["bench", "--config", str(cfg), "--out", str(out), "--no-plots"]) == 0
+    assert main(["bench", "--config", str(cfg), "--out", str(out), "--jobs", "2", "--no-plots"]) == 0
     rows = rows_from_csv(out / "runs.csv")
     assert len(rows) == 4  # 1 scenario x 2 estimators x 2 seeds
     assert all(not r.error for r in rows)
@@ -907,20 +906,23 @@ def test_cli_bench_rejects_non_positive_jobs(tmp_path, capsys, jobs):
     assert not out.exists()
 
 
-def test_cli_non_integer_jobs_env_fails_bench_only(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("EIV_LPE_JOBS", "two")
-    cfg = _bench_config_json(tmp_path)
-    rc = main(["bench", "--config", str(cfg), "--out", str(tmp_path / "bench"), "--no-plots"])
-    assert rc == 2
-    assert "EIV_LPE_JOBS must be a positive integer, got 'two'" in capsys.readouterr().err
-    # generate and estimate never read the variable
-    data_dir = tmp_path / "data"
-    assert main(["generate", "--config", str(cfg), "--out", str(data_dir)]) == 0
-    est_cfg = tmp_path / "est.json"
-    est_cfg.write_text(json.dumps({"method": "tls"}))
-    out = tmp_path / "estimates"
-    assert main(["estimate", str(data_dir / "s1_noisy.csv"), "--config", str(est_cfg),
-                 "--out", str(out)]) == 0
+@pytest.mark.parametrize("command", ["bench", "estimate"])
+def test_cli_unusable_out_fails_before_any_work(tmp_path, capsys, monkeypatch, command):
+    # --out under a regular file cannot be created; that fails the command
+    # before bench runs a cell or estimate runs its estimator
+    data, est_cfg = _clean_csv_and_tls_config(tmp_path)
+    (tmp_path / "afile").write_text("")
+    out = tmp_path / "afile" / "sub"
+    cells, estimates = [], []
+    monkeypatch.setattr(bench, "run_scenario", lambda *a, **k: cells.append(a))
+    monkeypatch.setattr(cli, "estimate", lambda *a, **k: estimates.append(a))
+    if command == "bench":
+        argv = ["bench", "--config", str(_bench_config_json(tmp_path)), "--no-plots"]
+    else:
+        argv = ["estimate", str(data), "--config", str(est_cfg)]
+    assert main(argv + ["--out", str(out)]) == 3
+    assert "Not a directory" in capsys.readouterr().err
+    assert cells == estimates == []
 
 
 def test_cli_report_without_runs_is_config_error(tmp_path):

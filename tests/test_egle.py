@@ -223,6 +223,40 @@ def test_solve_params_respects_constraint():
     assert abs((c.T @ res.w).item() - f_vec.item()) < 1e-10
 
 
+def _unconstrained_newton(problem, y_gmm, x_gmm, labels, w0):
+    """The unconstrained solve_params loop once kept beside the KKT one: w, iterations, converged."""
+    w = np.asarray(w0, dtype=float).copy()
+    for it in range(egle.NEWTON_MAX_ITER):
+        f0, jac = newton_system(problem, w, y_gmm, x_gmm, labels)
+        step = np.linalg.solve(jac, -f0)
+        w = w + step
+        if float(np.abs(step).max()) <= egle.NEWTON_TOL:
+            return w, it + 1, True
+    return w, egle.NEWTON_MAX_ITER, False
+
+
+def test_solve_params_without_a_constraint_matches_plain_newton_bit_for_bit():
+    # with no constraint columns the KKT system is the Jacobian itself, so
+    # the solve takes the same steps as plain Newton, bit for bit
+    rng = np.random.default_rng(12)
+    converged = 0
+    for i in range(40):
+        m = i % 3 + 1
+        p = int(rng.integers(1, 5))
+        problem, w_true = _eiv_instance(rng, n=int(rng.integers(10, 80)), p=p, noise=0.05)
+        y_gmm, x_gmm = _random_gmm(rng, m, 0.05), _random_gmm(rng, m, 0.05)
+        labels = rng.integers(0, m, size=problem.y.size)
+        w0 = w_true + 0.1 * rng.normal(size=p)
+        w, iterations, ok = _unconstrained_newton(problem, y_gmm, x_gmm, labels, w0)
+        empty = EivProblem(problem.x, problem.y, constraint=(np.zeros((p, 0)), np.zeros(0)))
+        for prob in (problem, empty):
+            res = solve_params(prob, y_gmm, x_gmm, labels, w0)
+            assert res.w.tobytes() == w.tobytes()
+            assert (res.iterations, res.converged) == (iterations, ok)
+        converged += ok
+    assert converged >= 20
+
+
 def test_egle_estimate_near_truth_and_meta():
     rng = np.random.default_rng(4)
     problem, w_true = _eiv_instance(rng, n=200, p=3, noise=0.02, constrained=True)
@@ -358,6 +392,36 @@ def test_egle_keeps_other_candidates_when_em_fails(monkeypatch):
     assert two.outer_iters == 1 and not two.converged
     assert two.y_gmm is None and two.x_gmm is None and len(two.trace) == 0
     assert two.newton_steps == two.newton_unconverged == 0
+
+
+def test_egle_candidate_failing_in_a_later_iteration_keeps_what_it_completed(monkeypatch):
+    # m = 2's third Newton solve fails; the candidate keeps its two
+    # completed iterations, their mixtures and Newton counts, and its last w
+    rng = np.random.default_rng(4)
+    problem, w_true = _eiv_instance(rng, n=200, p=3, noise=0.02, constrained=True)
+    real_solve, done = egle.solve_params, []
+
+    def solve_params(problem, y_gmm, *args):
+        if y_gmm.weights.size != 2:
+            return real_solve(problem, y_gmm, *args)
+        if len(done) == 2:
+            raise EstimatorError("singular Newton system (cond(J) = inf)")
+        done.append(real_solve(problem, y_gmm, *args))
+        return done[-1]
+
+    monkeypatch.setattr(egle, "solve_params", solve_params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        res = egle_estimate(problem, EstimatorConfig("egle", egle_m_max=2, w0=w_true + 0.05))
+    one, two = res.egle_meta.candidates
+    assert res.egle_meta.m_star == 1 and one.failure is None
+    assert two.failure == "singular Newton system (cond(J) = inf)"
+    assert two.outer_iters == 3 and len(two.trace) == 3
+    assert two.w.tobytes() == two.trace.w[-1].tobytes()
+    assert two.y_gmm.weights.size == two.x_gmm.weights.size == 2
+    assert two.newton_steps == sum(r.iterations for r in done)
+    assert two.newton_unconverged == sum(not r.converged for r in done)
+    assert not two.converged and two.bic == np.inf
 
 
 def test_egle_starts_from_tls_when_unseeded():

@@ -1,5 +1,6 @@
 """Every name a module exports in __all__ exists; imports load only what runs;
-no module outside estimators/ branches on a method name."""
+no module outside estimators/ branches on a method name; no module reads the
+environment."""
 
 import ast
 import importlib
@@ -104,3 +105,37 @@ def test_no_module_outside_estimators_compares_method_names():
         for line in method_name_comparisons(path.read_text())
     }
     assert not found, f"method-name comparisons outside estimators/: {sorted(found)}"
+
+
+# Options reach the package as arguments only; no module reads an
+# environment variable for a second way to set one.
+ENV_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _reads_environment(node) -> bool:
+    if isinstance(node, ast.Attribute):
+        return isinstance(node.value, ast.Name) and node.value.id == "os" and node.attr in ENV_NAMES
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "os" and any(alias.name in ENV_NAMES for alias in node.names)
+    return False
+
+
+def environment_reads(source: str) -> list[int]:
+    """Line numbers of the os.environ / os.getenv uses and imports in `source`."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source)) if _reads_environment(node))
+
+
+def test_environment_reads_are_found():
+    source = 'import os\na = os.environ["A"]\nb = os.getenv("B")\nfrom os import environ\n'
+    assert environment_reads(source) == [2, 3, 4]
+    assert environment_reads("import os\nx = os.path.join('a', 'b')\n") == []
+
+
+def test_no_module_reads_the_environment():
+    package = Path(__file__).resolve().parents[1] / "src" / "eiv_lpe"
+    found = {
+        f"{path.relative_to(package)}:{line}"
+        for path in package.rglob("*.py")
+        for line in environment_reads(path.read_text())
+    }
+    assert not found, f"environment reads under src/eiv_lpe: {sorted(found)}"
