@@ -224,7 +224,8 @@ def test_solve_params_respects_constraint():
 
 
 def _unconstrained_newton(problem, y_gmm, x_gmm, labels, w0):
-    """The unconstrained solve_params loop once kept beside the KKT one: w, iterations, converged."""
+    """Plain Newton steps on J alone: the w, iterations and converged that solve_params
+    must give on a problem without constraint columns."""
     w = np.asarray(w0, dtype=float).copy()
     for it in range(egle.NEWTON_MAX_ITER):
         f0, jac = newton_system(problem, w, y_gmm, x_gmm, labels)
