@@ -8,10 +8,11 @@ a process pool, and writes:
   table_<label>.csv   a true-vs-estimated parameter table per scenario
   plots/<label>_<method>.svg   median ARE(r) against iteration, log x
 
-Aggregates are pure functions of the per-run rows, so `report` can rebuild
-them from runs.csv alone.  Plots are plain SVG written without a plotting
-library, byte-identical for a given seed; plot failures never fail a bench
-run.
+Aggregates (the summary and the tables) are pure functions of the per-run
+rows, so `report` rebuilds them from runs.csv alone and writes nothing else.
+Every output is created as a new file (see io.open_new).  Plots are plain
+SVG written without a plotting library, byte-identical for a given seed;
+plot failures never fail a bench run.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .estimators import Trace
-from .io import BenchConfig, ConfigError, bench_config_to_dict
+from .io import BenchConfig, ConfigError, bench_config_to_dict, open_new
 from .scenario import Scenario, run_scenario
 
 __all__ = [
@@ -35,6 +36,7 @@ __all__ = [
     "RunRow",
     "run_bench",
     "write_report",
+    "write_aggregates",
     "rows_from_csv",
     "median_iqr",
 ]
@@ -163,7 +165,7 @@ def median_iqr(values: list[float]) -> tuple[float, float]:
 
 def _write_runs_csv(rows: list[RunRow], path: Path) -> None:
     columns = [(f.name, _RUNS_CODECS[f.type][0]) for f in fields(RunRow)]
-    with open(path, "w", newline="") as fh:
+    with open_new(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RUNS_HEADER)
         writer.writerows([write(getattr(r, name)) for name, write in columns] for r in rows)
@@ -197,7 +199,7 @@ _ARE_COLUMNS = ("are_r", "are_x", "are_b")
 
 
 def _write_summary(report: BenchReport, path: Path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open_new(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["scenario", "method", "n_seeds", "n_failed"]
@@ -222,7 +224,7 @@ def _write_tables(report: BenchReport, scenarios: list[Scenario], out: Path) -> 
         if not methods:
             continue
         ok = {m: [r for r in cells[(label, m)] if not r.error] for m in methods}
-        with open(out / f"table_{label}.csv", "w", newline="") as fh:
+        with open_new(out / f"table_{label}.csv", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["parameter", "true"] + methods)
             for name, col in zip(("r", "x", "b", "time_s"), ("r_hat", "x_hat", "b_hat", "elapsed")):
@@ -340,7 +342,8 @@ def _write_plots(
             svg = _svg_log_x_plot(
                 np.arange(1, length + 1)[valid], median[valid], f"{scen} / {method}"
             )
-            (plot_dir / f"{scen}_{method}.svg").write_text(svg, encoding="utf-8")
+            with open_new(plot_dir / f"{scen}_{method}.svg", encoding="utf-8") as fh:
+                fh.write(svg)
         except Exception as exc:  # plotting is best effort
             warnings.warn(f"plot {scen}/{method} skipped: {exc}")
 
@@ -354,6 +357,13 @@ def _blas_library() -> str:
         return "unknown"
 
 
+def write_aggregates(report: BenchReport, config: BenchConfig) -> None:
+    """Write summary.csv and the table_<label>.csv files, the outputs rebuilt from the rows."""
+    out = Path(config.output_dir)
+    _write_summary(report, out / "summary.csv")
+    _write_tables(report, config.scenarios, out)
+
+
 def write_report(
     report: BenchReport,
     config: BenchConfig,
@@ -362,8 +372,7 @@ def write_report(
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_runs_csv(report.rows, out / "runs.csv")
-    _write_summary(report, out / "summary.csv")
-    _write_tables(report, config.scenarios, out)
+    write_aggregates(report, config)
     manifest = {
         "schema": 1,
         "seeds": config.seeds,
@@ -378,7 +387,7 @@ def write_report(
             "blas": _blas_library(),
         },
     }
-    with open(out / "bench_manifest.json", "w") as fh:
+    with open_new(out / "bench_manifest.json") as fh:
         json.dump(manifest, fh, indent=2)
     if config.plots and traces is not None:
         _write_plots(traces, config.scenarios, out)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import shutil
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -21,6 +20,7 @@ from .io import (
     estimator_from_dict,
     load_bench_config,
     noise_from_dict,
+    open_new,
     read_json,
     read_records_csv,
     scenario_to_dict,
@@ -53,7 +53,8 @@ def _scenarios_from_args(args) -> list[Scenario]:
 def _write_once(files: dict[str, Path], key: str, path: Path, build) -> None:
     """Write build()'s window to path, or copy the file first written under key."""
     if key in files:
-        shutil.copyfile(files[key], path)
+        with open(files[key], newline="") as src, open_new(path, newline="") as dst:
+            dst.write(src.read())
     else:
         write_records_csv(build(), path)
         files[key] = path
@@ -93,7 +94,7 @@ def cmd_generate(args) -> int:
             _write_once(files, noisy_key, noisy_path, lambda: apply_noise(clean, sc.noise, seed))
             entry["files"]["noisy"] = noisy_path.name
         manifest["scenarios"].append(entry)
-    with open(out / "manifest.json", "w") as fh:
+    with open_new(out / "manifest.json") as fh:
         json.dump(manifest, fh, indent=2)
     print(f"wrote {len(scenarios)} scenario(s) to {out}")
     return EXIT_OK
@@ -115,7 +116,7 @@ def cmd_estimate(args) -> int:
     result = estimate(problem, config)
     params = admittance_to_params(result.w)
     stem = Path(args.data).stem
-    with open(out / f"{stem}_{config.method}_result.csv", "w") as fh:
+    with open_new(out / f"{stem}_{config.method}_result.csv") as fh:
         fh.write("method,r_hat,x_hat,b_hat,w1,w2,w3,w4,iterations,converged,elapsed\n")
         w = result.w
         fh.write(
@@ -123,7 +124,7 @@ def cmd_estimate(args) -> int:
             f"{w[0]:.12g},{w[1]:.12g},{w[2]:.12g},{w[3]:.12g},"
             f"{result.iterations},{int(result.converged)},{result.elapsed:.6g}\n"
         )
-    with open(out / f"{stem}_{config.method}_trace.csv", "w") as fh:
+    with open_new(out / f"{stem}_{config.method}_trace.csv") as fh:
         fh.write("iteration,w1,w2,w3,w4,objective\n")
         for i, (w, obj) in enumerate(result.trace):
             fh.write(f"{i},{w[0]:.12g},{w[1]:.12g},{w[2]:.12g},{w[3]:.12g},{obj:.12g}\n")
@@ -156,16 +157,15 @@ def cmd_bench(args) -> int:
 
 
 def cmd_report(args) -> int:
-    """Rebuild summary and tables from an existing runs.csv."""
-    from .bench import BenchReport, rows_from_csv, write_report
+    """Rebuild summary and tables from an existing runs.csv, which it leaves as it is."""
+    from .bench import BenchReport, rows_from_csv, write_aggregates
     config = load_bench_config(args.config)
     if args.out:
         config = replace(config, output_dir=Path(args.out))
     runs = config.output_dir / "runs.csv"
     if not runs.exists():
         raise ConfigError(f"no runs.csv under {config.output_dir}; run bench first")
-    rows = rows_from_csv(runs)
-    write_report(BenchReport(rows), replace(config, seeds=sorted({r.seed for r in rows})))
+    write_aggregates(BenchReport(rows_from_csv(runs)), config)
     print(f"report rebuilt in {config.output_dir}")
     return EXIT_OK
 

@@ -147,7 +147,10 @@ class EgleCandidate:
     `failure`, and None for a mixture it never fitted.  `newton_steps` is
     the total of Newton steps over its completed parameter solves and
     `newton_unconverged` the number of those solves that hit
-    egle.NEWTON_MAX_ITER."""
+    egle.NEWTON_MAX_ITER.  `cycle` is (start, period) when the damped
+    state (w and both mixtures) at the top of outer iteration start + period
+    repeated that of iteration start bit for bit, so the run is capped
+    inside an exact cycle of that period; None otherwise."""
 
     m: int
     w: np.ndarray
@@ -160,6 +163,7 @@ class EgleCandidate:
     failure: str | None
     newton_steps: int
     newton_unconverged: int
+    cycle: tuple[int, int] | None
 
 
 @dataclass

@@ -197,7 +197,11 @@ def _fit_candidate(
     iteration.  EM refits warm-start from the previous mixtures; updates are
     halved once they stop contracting (see the loop comment).  A singular
     Newton system, a non-finite step or EM rejecting diverged samples ends
-    the candidate as failed.
+    the candidate as failed.  Once damped, a step depends only on w and the
+    two mixtures; when their bits at the top of an outer iteration repeat
+    those of an earlier one, the candidate is in an exact cycle, and the
+    iterations left up to the cap replay it from the record instead of
+    refitting.
 
     Columns of x_s whose w_j share a sign are the same bits.  When every
     sign occurs equally often and one column per sign holds
@@ -216,8 +220,18 @@ def _fit_candidate(
     damped = False
     converged = False
     failure = None
-    newton_steps = newton_unconverged = 0
+    cycle = None
+    # per completed outer iteration: its mixtures, BIC log likelihoods and Newton counts
+    steps: list[tuple] = []
+    seen: dict[bytes, int] = {}
     for outer in range(1, config.max_iters + 1):
+        if damped:
+            state = (w, y_gmm.weights, y_gmm.means, y_gmm.variances,
+                     x_gmm.weights, x_gmm.means, x_gmm.variances)
+            start = seen.setdefault(b"".join(a.tobytes() for a in state), outer)
+            if start < outer:
+                cycle = (start, outer - start)
+                break
         y_s, x_s = egle_em_samples(problem, w)
         signs, first, counts = np.unique(np.sign(w), return_index=True, return_counts=True)
         copies = 1
@@ -237,8 +251,8 @@ def _fit_candidate(
             # em_fit rejects non-finite samples once an iterate diverges
             failure = str(exc)
             break
-        newton_steps += res.iterations
-        newton_unconverged += not res.converged
+        steps.append((y_gmm, x_gmm, y_fit.loglik, copies * x_fit.loglik,
+                      res.iterations, not res.converged))
         w_next = res.w
         delta = float(np.abs(w_next - w).max())
         # Hard row membership can flip boundary rows back and forth,
@@ -257,12 +271,22 @@ def _fit_candidate(
         if delta <= config.tol:
             converged = True
             break
+    if cycle is not None:
+        # no step of the cycle converged, so its replay runs to the cap
+        period = cycle[1]
+        for k in range(outer, config.max_iters + 1):
+            ws.append(ws[k - period])
+            sse.append(sse[k - period])
+            steps.append(steps[k - 1 - period])
+        outer, w = config.max_iters, ws[-1]
+        y_gmm, x_gmm = steps[-1][:2]
     bic = np.inf
     if failure is None:
-        bic = gmm_bic(y_fit.loglik, m, n) + gmm_bic(copies * x_fit.loglik, m, n * p)
+        bic = gmm_bic(steps[-1][2], m, n) + gmm_bic(steps[-1][3], m, n * p)
     return EgleCandidate(
-        m, w, Trace(np.reshape(ws, (-1, p)), sse), outer, converged, float(bic),
-        y_gmm, x_gmm, failure, newton_steps, newton_unconverged,
+        m, w, Trace(np.reshape(ws, (-1, p)), sse), outer, converged,
+        float(bic), y_gmm, x_gmm, failure, sum(s[4] for s in steps), sum(s[5] for s in steps),
+        cycle,
     )
 
 

@@ -14,7 +14,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 from itertools import chain
 from pathlib import Path
-from typing import Any
+from typing import Any, TextIO
 
 import numpy as np
 
@@ -28,6 +28,7 @@ __all__ = [
     "BenchConfig",
     "ConfigError",
     "PMU_CSV_HEADER",
+    "open_new",
     "write_records_csv",
     "read_records_csv",
     "read_json",
@@ -68,12 +69,23 @@ _CSV_DTYPE = np.dtype(
 _CSV_BLOCK_ROWS = 1024  # rows per writelines call: few tolist calls, lists well under 1 MB
 
 
+def open_new(path: str | Path, **kwargs) -> TextIO:
+    """Open `path` for writing as a new file, passing `kwargs` to `open`.
+
+    Whatever `path` names is unlinked first: a symlink there is replaced, not
+    followed, and no file is truncated in place, which on ext4 can wait tens
+    of ms for the old data's writeback.
+    """
+    Path(path).unlink(missing_ok=True)
+    return open(path, "w", **kwargs)
+
+
 def write_records_csv(records: np.recarray, path: str | Path) -> None:
     """Write a record window in the standard 9-column PMU CSV layout."""
     rows = records.view(np.ndarray).view(_CSV_DTYPE)
     # %-formatting the Python scalars of tolist() gives each cell np.savetxt's text
     format_row = ("%d" + ",%.17g" * 8 + "\r\n").__mod__
-    with open(path, "w", newline="") as fh:
+    with open_new(path, newline="") as fh:
         fh.write(",".join(PMU_CSV_HEADER) + "\r\n")
         for lo in range(0, len(rows), _CSV_BLOCK_ROWS):
             block = rows[lo : lo + _CSV_BLOCK_ROWS]

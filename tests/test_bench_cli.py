@@ -790,6 +790,59 @@ def _clean_csv_and_tls_config(tmp_path):
     return data_dir / "s1_clean.csv", est_cfg
 
 
+def _elapsed_free(path):
+    """A file's bytes, with a CSV's elapsed columns blanked and a table's time_s row dropped."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    if path.suffix != ".csv":
+        return lines
+    blank = [i for i, name in enumerate(lines[0].rstrip(b"\r\n").split(b",")) if b"elapsed" in name]
+    kept = []
+    for line in lines:
+        body = line.rstrip(b"\r\n")
+        cells = body.split(b",")
+        for i in blank:
+            cells[i] = b""
+        if cells[0] != b"time_s":
+            kept.append(b",".join(cells) + line[len(body):])
+    return kept
+
+
+@pytest.mark.parametrize("command", ["bench", "generate", "estimate"])
+def test_cli_outputs_replace_what_a_used_directory_holds(tmp_path, command):
+    # every output name of a fresh run holds, in turn, a longer stale file,
+    # a symlink to a file outside and a read-only stale file; a rerun there
+    # writes the fresh run's bytes, leaves no stale tail and replaces each
+    # link instead of writing through it
+    data, est_cfg = _clean_csv_and_tls_config(tmp_path)
+    argv = {
+        "bench": ["bench", "--config", str(_bench_config_json(tmp_path))],
+        "generate": ["generate", "--config", str(_mixed_generate_config(tmp_path))],
+        "estimate": ["estimate", str(data), "--config", str(est_cfg)],
+    }[command]
+    fresh, used, outside = tmp_path / "fresh", tmp_path / "used", tmp_path / "outside"
+    assert main(argv + ["--out", str(fresh)]) == 0
+    names = sorted(p.relative_to(fresh) for p in fresh.rglob("*") if p.is_file())
+    assert len(names) >= 2
+    outside.mkdir()
+    for i, name in enumerate(names):
+        target = used / name
+        target.parent.mkdir(parents=True, exist_ok=True)
+        if i % 3 == 1:
+            link = outside / f"{i}.txt"
+            link.write_bytes(b"outside\n")
+            target.symlink_to(link)
+        else:
+            target.write_bytes((fresh / name).read_bytes() + b"stale tail\n" * 100)
+            if i % 3 == 2:
+                target.chmod(0o444)
+    assert main(argv + ["--out", str(used)]) == 0
+    assert sorted(p.relative_to(used) for p in used.rglob("*") if p.is_file()) == names
+    for name in names:
+        assert not (used / name).is_symlink()
+        assert _elapsed_free(used / name) == _elapsed_free(fresh / name), name
+    assert all(link.read_bytes() == b"outside\n" for link in outside.iterdir())
+
+
 def test_cli_estimate_malformed_json_is_config_error(tmp_path):
     data, _ = _clean_csv_and_tls_config(tmp_path)
     bad = tmp_path / "bad.json"
@@ -947,11 +1000,18 @@ def _rewrite_runs_csv(out, header, rows):
 
 
 def test_cli_report_ignores_extra_runs_csv_columns(tmp_path):
+    # report rewrites only the summary and the tables: runs.csv keeps the
+    # user's column and bench_manifest.json its bytes
     cfg, out, header, rows = _bench_runs_csv(tmp_path)
     before = (out / "summary.csv").read_bytes()
     _rewrite_runs_csv(out, header + ["note"], [row + ["x"] for row in rows])
+    inputs = {name: (out / name).read_bytes() for name in ("runs.csv", "bench_manifest.json")}
+    (out / "summary.csv").unlink()
+    (out / "table_s1.csv").unlink()
     assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
     assert (out / "summary.csv").read_bytes() == before
+    assert (out / "table_s1.csv").exists()
+    assert {name: (out / name).read_bytes() for name in inputs} == inputs
 
 
 def test_cli_report_on_runs_csv_without_a_column_is_config_error(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Mixture-based EIV solver: sample map, trace objective, Newton, selection."""
 
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eiv_lpe.estimators import (
+    EgleCandidate,
     EstimatorConfig,
     EstimatorError,
+    Trace,
     cmtc_estimate,
     egle,
     egle_estimate,
@@ -24,7 +27,7 @@ from eiv_lpe.estimators.egle import (
 )
 from eiv_lpe import noise
 from eiv_lpe.line_model import EivProblem, LineParameters, build_regression
-from eiv_lpe.noise import GaussianNoise, GmmModel, apply_noise
+from eiv_lpe.noise import GaussianNoise, GmmModel, apply_noise, em_fit, gmm_bic
 from eiv_lpe.scenario import LoadRampProfile, Scenario, generate_true_records, run_scenario
 
 
@@ -463,6 +466,105 @@ def test_egle_candidates_count_their_newton_steps(monkeypatch):
     for c in capped.egle_meta.candidates:
         assert c.failure is None
         assert c.newton_unconverged == c.newton_steps == c.outer_iters
+
+
+def _plain_fit_candidate(problem, config, w0, m):
+    """egle's outer loop without the cycle replay: every outer iteration up
+    to the cap refits both mixtures and solves for w."""
+    n, p = problem.x.shape
+    w = w0.copy()
+    ws, sse, deltas = [], [], []
+    y_gmm = x_gmm = None
+    damped = converged = False
+    failure = None
+    newton_steps = newton_unconverged = 0
+    for outer in range(1, config.max_iters + 1):
+        y_s, x_s = egle_em_samples(problem, w)
+        signs, first, counts = np.unique(np.sign(w), return_index=True, return_counts=True)
+        copies = 1
+        if m > 1 and (counts == counts[0]).all() and n * signs.size >= noise.EM_LARGE_FIT_SAMPLES:
+            copies, x_s = int(counts[0]), x_s[:, np.sort(first)]
+        try:
+            y_fit = em_fit(y_s, m, config.seed, init=y_gmm)
+            y_gmm = y_fit.model
+            x_fit = em_fit(x_s.ravel(), m, config.seed, init=x_gmm)
+            x_gmm = x_fit.model
+            labels = y_fit.labels
+            if not ws:
+                ws.append(w)
+                sse.append(_trace_objective(problem, w, y_gmm, x_gmm, labels))
+            res = solve_params(problem, y_gmm, x_gmm, labels, w)
+        except (EstimatorError, ValueError) as exc:
+            failure = str(exc)
+            break
+        newton_steps += res.iterations
+        newton_unconverged += not res.converged
+        w_next = res.w
+        delta = float(np.abs(w_next - w).max())
+        if not damped and len(deltas) >= 2 and delta > 0.5 * deltas[-2]:
+            damped = True
+        if damped:
+            w_next = 0.5 * (w + w_next)
+            delta = 0.5 * delta
+        deltas.append(delta)
+        w = w_next
+        ws.append(w)
+        sse.append(_trace_objective(problem, w, y_gmm, x_gmm, labels))
+        if delta <= config.tol:
+            converged = True
+            break
+    bic = np.inf
+    if failure is None:
+        bic = gmm_bic(y_fit.loglik, m, n) + gmm_bic(copies * x_fit.loglik, m, n * p)
+    return EgleCandidate(
+        m, w, Trace(np.reshape(ws, (-1, p)), sse), outer, converged, float(bic),
+        y_gmm, x_gmm, failure, newton_steps, newton_unconverged, None,
+    )
+
+
+def _bits(value):
+    """A candidate field as bytes and reprs, equal only for the same bits."""
+    if isinstance(value, np.ndarray):
+        return value.tobytes()
+    if isinstance(value, Trace):
+        return value.w.tobytes(), value.objective.tobytes()
+    if isinstance(value, GmmModel):
+        return tuple(a.tobytes() for a in (value.weights, value.means, value.variances))
+    return repr(value)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_egle_cycle_replay_matches_the_plain_loop_bit_for_bit(monkeypatch, seed):
+    # with a tolerance below any step the damped iteration runs until its
+    # state repeats bit for bit (here: seed 0's m = 2 candidate from outer
+    # iteration 44 with period 6, seed 3's m = 1 from 13 with period 1,
+    # where the half step rounds back to w); the other candidate reaches
+    # the cap or converges
+    rng = np.random.default_rng(seed)
+    problem, w_true = _eiv_instance(rng, n=20, p=3, noise=0.02, constrained=True)
+    config = EstimatorConfig("egle", max_iters=60, tol=1e-300, w0=w_true + 0.05)
+    calls = _spy_em_fit(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        replayed = egle_estimate(problem, config)
+        fits = [m for m, _ in calls]
+        monkeypatch.setattr(egle, "_fit_candidate", _plain_fit_candidate)
+        plain = egle_estimate(problem, config)
+    assert any(c.cycle is not None for c in replayed.egle_meta.candidates)
+    assert replayed.egle_meta.m_star == plain.egle_meta.m_star
+    names = [f.name for f in fields(EgleCandidate) if f.name != "cycle"]
+    for c, ref in zip(replayed.egle_meta.candidates, plain.egle_meta.candidates):
+        assert [_bits(getattr(c, k)) for k in names] == [_bits(getattr(ref, k)) for k in names]
+        if c.cycle is None:
+            assert fits.count(c.m) == 2 * c.outer_iters
+            continue
+        start, period = c.cycle
+        assert c.outer_iters == config.max_iters and not c.converged
+        # the w that started iteration `start` starts iteration start + period
+        assert c.trace.w[start - 1].tobytes() == c.trace.w[start - 1 + period].tobytes()
+        # the replay refits nothing: two fits per outer iteration before the repeat
+        assert fits.count(c.m) == 2 * (start + period - 1)
+    assert _bits(replayed.w) == _bits(plain.w) and _bits(replayed.trace) == _bits(plain.trace)
 
 
 def test_egle_outer_iteration_cap():

@@ -139,3 +139,75 @@ def test_no_module_reads_the_environment():
         for line in environment_reads(path.read_text())
     }
     assert not found, f"environment reads under src/eiv_lpe: {sorted(found)}"
+
+
+# Every file the package writes is created new by io.open_new, which
+# unlinks what the path names first: no output is truncated in place and
+# no symlink at an output path is followed.
+_WRITE_MODES = set("wax+")
+
+
+def _writes_a_file(node) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+    if name in ("write_text", "write_bytes"):
+        return True
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        if func.value.id == "shutil" and name.startswith("copy"):
+            return True
+    if name != "open":
+        return False
+    # open(path, mode) and Path.open(mode)
+    modes = node.args[1:2] if isinstance(func, ast.Name) else node.args[:1]
+    modes += [kw.value for kw in node.keywords if kw.arg == "mode"]
+    return any(
+        isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+        and _WRITE_MODES & set(mode.value)
+        for mode in modes
+    )
+
+
+def file_writes(source: str, allowed: str = "") -> list[int]:
+    """Line numbers of the calls in `source` that open, write or copy to a file,
+    and of the `from shutil import copy...` imports, outside function `allowed`."""
+    tree = ast.parse(source)
+    exempt = {
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == allowed
+        for node in ast.walk(fn)
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if id(node) not in exempt
+        and (
+            _writes_a_file(node)
+            or isinstance(node, ast.ImportFrom) and node.module == "shutil"
+            and any(alias.name.startswith("copy") for alias in node.names)
+        )
+    )
+
+
+def test_file_writes_are_found():
+    source = (
+        'open(p, "w")\nopen(p, mode="wb")\np.open("a")\np.write_text("x")\n'
+        'p.write_bytes(b"")\nshutil.copyfile(a, b)\nfrom shutil import copy2\n'
+        'def open_new(path):\n    return open(path, "w")\n'
+    )
+    assert file_writes(source) == [1, 2, 3, 4, 5, 6, 7, 9]
+    assert file_writes(source, allowed="open_new") == [1, 2, 3, 4, 5, 6, 7]
+    reads = 'open(p)\nopen(p, newline="")\np.open()\nopen(p, "rb")\nshutil.rmtree(d)\n'
+    assert file_writes(reads) == []
+
+
+def test_no_module_writes_a_file_outside_open_new():
+    package = Path(__file__).resolve().parents[1] / "src" / "eiv_lpe"
+    found = {
+        f"{path.relative_to(package)}:{line}"
+        for path in package.rglob("*.py")
+        for line in file_writes(path.read_text(), "open_new" if path.name == "io.py" else "")
+    }
+    assert not found, f"file writes outside io.open_new: {sorted(found)}"
