@@ -323,6 +323,8 @@ def _write_plots(
                 _trace_are_curve(trace, by_label[scen])
             )
     plot_dir = out / "plots"
+    if plot_dir.is_symlink() or not plot_dir.is_dir():
+        plot_dir.unlink(missing_ok=True)  # replaced, as an output file is
     plot_dir.mkdir(exist_ok=True)
     for (scen, method), curves in groups.items():
         try:

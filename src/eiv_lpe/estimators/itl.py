@@ -12,9 +12,11 @@ objective and gradient functions are views of that pass).  MTEE's O(n^2)
 pass takes each row block's pair differences from one rank-2 BLAS product,
 exact bit for bit, evaluates exp once per pair and takes the rest from one
 BLAS moment product per block; the moments are exact in real arithmetic,
-not bit for bit equal to elementwise pair sums.  When no step size is given, a
-stability-based step is derived from the local curvature at the starting
-point; the divergence guard aborts runs whose iterates blow up.
+not bit for bit equal to elementwise pair sums.  MTC's O(n) pass is two BLAS
+products on a buffer set up once, exact in real arithmetic, not bit for bit.
+When no step size is given, a stability-based step is derived from the local
+curvature at the starting point; the divergence guard aborts runs whose
+iterates blow up.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Callable
-from functools import partial
 
 import numpy as np
 
@@ -179,32 +180,49 @@ def _guard(w: np.ndarray, method: str, iteration: int) -> None:
         )
 
 
-def _mtc_value_grad(
-    problem: EivProblem, w: np.ndarray, sigma: float
-) -> tuple[float, np.ndarray]:
-    """Mean correntropy of the total error and its exact gradient.
+def _mtc_kernel(
+    problem: EivProblem, sigma: float
+) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
+    """The pass w -> (mean correntropy of the total error, exact gradient).
 
-    J = mean exp(-e_i^2 / (2 sigma^2 S)), S = ||w||^2 + eps0^-2, e = y - Xw.
+    J = mean c, c = exp(-e^2 / (2 sigma^2 S)), S = ||w||^2 + eps0^-2,
+    e = y - Xw, and g = (S X^T (c e) + e^T (c e) w) / (n sigma^2 S^2).
+    A (p+2, n) buffer set up once holds [y; X^T; e], so e = [1, -w] @ [y; X^T]
+    and [X^T (c e); e^T (c e)] = [X^T; e] @ (c e) are two contiguous BLAS
+    products, exact in real arithmetic, not bit for bit y - X @ w and X^T @ (c e).
     """
-    x = problem.x
-    n = x.shape[0]
-    s = float(w @ w + problem.eps0**-2)
-    e = problem.y - x @ w
-    c = np.exp(e * e * (-0.5 / (sigma**2 * s)))
-    value = float(c.mean())
-    ce = c * e
-    grad = (s * (x.T @ ce) + float(ce @ e) * w) / (n * sigma**2 * s**2)
-    return value, grad
+    n, p = problem.x.shape
+    inv_eps2 = problem.eps0**-2
+    sigma2 = sigma**2
+    rows = np.empty((p + 2, n))
+    rows[0] = problem.y
+    rows[1 : p + 1] = problem.x.T
+    y_x, x_e, e = rows[: p + 1], rows[1:], rows[p + 1]
+    left, ce = np.ones(p + 1), np.empty(n)
+
+    def value_grad(w: np.ndarray) -> tuple[float, np.ndarray]:
+        s = float(w @ w) + inv_eps2
+        np.negative(w, out=left[1:])
+        np.matmul(left, y_x, out=e)
+        np.multiply(e, e, out=ce)
+        np.multiply(ce, -0.5 / (sigma2 * s), out=ce)
+        np.exp(ce, out=ce)
+        value = float(ce.sum()) / n
+        np.multiply(ce, e, out=ce)
+        moments = x_e @ ce
+        return value, (s * moments[:p] + float(moments[p]) * w) / (n * sigma2 * s**2)
+
+    return value_grad
 
 
 def mtc_objective(problem: EivProblem, w: np.ndarray, sigma: float) -> float:
     """Mean Gaussian correntropy of the normalized total error."""
-    return _mtc_value_grad(problem, np.asarray(w, dtype=float), sigma)[0]
+    return _mtc_kernel(problem, sigma)(np.asarray(w, dtype=float))[0]
 
 
 def mtc_gradient(problem: EivProblem, w: np.ndarray, sigma: float) -> np.ndarray:
     """Exact gradient of mtc_objective with respect to w."""
-    return _mtc_value_grad(problem, np.asarray(w, dtype=float), sigma)[1]
+    return _mtc_kernel(problem, sigma)(np.asarray(w, dtype=float))[1]
 
 
 def _ascent(problem: EivProblem, config: EstimatorConfig, method: str) -> EstimateResult:
@@ -217,10 +235,7 @@ def _ascent(problem: EivProblem, config: EstimatorConfig, method: str) -> Estima
     """
     start = time.perf_counter()
     sigma = float(config.kernel_sigma)
-    if method == "mtee":
-        value_grad = _mtee_kernel(problem, sigma)
-    else:
-        value_grad = partial(_mtc_value_grad, problem, sigma=sigma)
+    value_grad = (_mtee_kernel if method == "mtee" else _mtc_kernel)(problem, sigma)
     constrained = method == "cmtc"
     if constrained:
         if problem.constraint is None:

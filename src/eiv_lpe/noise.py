@@ -205,7 +205,7 @@ def _log_resp(x: np.ndarray, w: np.ndarray, mu: np.ndarray, var: np.ndarray):
     return log_comp, log_norm
 
 
-def _row_sums(a: np.ndarray) -> np.ndarray:
+def _row_sums(a: np.ndarray, x: np.ndarray | None = None):
     """The M-step sum of each row of `a`, in an order chosen by the row length.
 
     Rows shorter than ``EM_LARGE_FIT_SAMPLES`` are summed left to right from
@@ -214,10 +214,21 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     iteration counts follow.  Longer rows take NumPy's pairwise sum, about
     eight times faster and more accurate (Higham 1993).  Adding 0.0 turns an
     all-(-0.0) row into 0.0, as the reduction from 0 does.
+
+    Given x, also returns the row sums of a * x.  Short rows take both from
+    one accumulate over the complex a + i a x, whose parts add independently
+    and so keep their bits; NumPy's complex pairwise sum takes another tree.
     """
     if a.shape[1] >= EM_LARGE_FIT_SAMPLES:
-        return a.sum(axis=1) + 0.0
-    return np.add.accumulate(a, axis=1)[:, -1] + 0.0
+        sums = a.sum(axis=1) + 0.0
+        return sums if x is None else (sums, (a * x).sum(axis=1) + 0.0)
+    if x is None:
+        return np.add.accumulate(a, axis=1)[:, -1] + 0.0
+    pair = np.empty(a.shape, complex)
+    pair.real = a
+    np.multiply(a, x, out=pair.imag)
+    sums = np.add.accumulate(pair, axis=1, out=pair)[:, -1] + 0.0
+    return sums.real, sums.imag
 
 
 def _em_once(
@@ -230,6 +241,7 @@ def _em_once(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[float], bool, bool]:
     """One EM run from (w, mu, var); resp is (m, n), from the final E-step."""
     n = x.size
+    dev = np.empty((w.size, n))
     history: list[float] = []
     floored = False
     converged = False
@@ -243,10 +255,11 @@ def _em_once(
             break
         history.append(loglik)
         resp = np.exp(log_resp, out=log_resp)
-        nk = np.maximum(_row_sums(resp), 1e-300)
+        nk, resp_x = _row_sums(resp, x)
+        nk = np.maximum(nk, 1e-300)
         w = nk / n
-        mu = _row_sums(resp * x) / nk
-        dev = x - mu[:, None]
+        mu = resp_x / nk
+        np.subtract(x, mu[:, None], out=dev)
         dev *= dev
         dev *= resp
         var = _row_sums(dev) / nk

@@ -841,6 +841,24 @@ def test_cli_outputs_replace_what_a_used_directory_holds(tmp_path, command):
         assert not (used / name).is_symlink()
         assert _elapsed_free(used / name) == _elapsed_free(fresh / name), name
     assert all(link.read_bytes() == b"outside\n" for link in outside.iterdir())
+    if command == "bench":
+        # plots/ itself is, in turn, a link to a directory outside and a stale file
+        outside_dir = tmp_path / "outside_dir"
+        outside_dir.mkdir()
+        stale = {
+            "link": lambda plots: plots.symlink_to(outside_dir, target_is_directory=True),
+            "file": lambda plots: plots.write_bytes(b"stale\n"),
+        }
+        for kind, make in stale.items():
+            again = tmp_path / kind
+            again.mkdir()
+            make(again / "plots")
+            assert main(argv + ["--out", str(again)]) == 0, kind
+            assert (again / "plots").is_dir() and not (again / "plots").is_symlink()
+            assert sorted(p.relative_to(again) for p in again.rglob("*") if p.is_file()) == names
+            for name in names:
+                assert _elapsed_free(again / name) == _elapsed_free(fresh / name), (kind, name)
+        assert list(outside_dir.iterdir()) == []
 
 
 def test_cli_estimate_malformed_json_is_config_error(tmp_path):

@@ -29,7 +29,13 @@ from eiv_lpe.estimators.itl import (
 )
 from eiv_lpe.line_model import EivProblem, LineParameters, build_regression, params_to_admittance
 from eiv_lpe.noise import GaussianNoise, LaplacianNoise, apply_noise
-from eiv_lpe.scenario import LoadRampProfile, Scenario, generate_true_records, initial_guess
+from eiv_lpe.scenario import (
+    LoadRampProfile,
+    Scenario,
+    generate_true_records,
+    initial_guess,
+    run_scenario,
+)
 
 # largest n the kernel pass covers in one row block
 ONE_BLOCK = max(n for n in range(1, 4096) if _block_rows(n) == n)
@@ -253,6 +259,92 @@ def test_mtee_stops_where_the_elementwise_oracle_stops(seed, monkeypatch):
     assert res.converged and ref.converged
     assert res.iterations == ref.iterations
     assert np.allclose(res.w, ref.w, rtol=1e-12, atol=0)
+
+
+def _plain_mtc_value_grad(problem, w, sigma):
+    """Oracle: the pass the two-product kernel replaced, on fresh
+    temporaries, with e = y - X @ w and X^T @ (c e) as separate products."""
+    x = problem.x
+    n = x.shape[0]
+    s = float(w @ w + problem.eps0**-2)
+    e = problem.y - x @ w
+    c = np.exp(e * e * (-0.5 / (sigma**2 * s)))
+    value = float(c.mean())
+    ce = c * e
+    grad = (s * (x.T @ ce) + float(ce @ e) * w) / (n * sigma**2 * s**2)
+    return value, grad
+
+
+def _mtc_rounding_scale(problem, w, sigma):
+    """The value and gradient's first-order response to rounding in e.
+
+    Any order of y - Xw rounds e_i by a multiple of u (|y_i| + |x_i| |w|),
+    which exp magnifies by e_i^2 / (sigma^2 S); each scale adds those
+    responses, with every term in absolute value, to the pass's own size.
+    """
+    x = problem.x
+    n = x.shape[0]
+    s = float(w @ w + problem.eps0**-2)
+    e = problem.y - x @ w
+    bound = np.abs(problem.y) + np.abs(x) @ np.abs(w)
+    q = e * e / (sigma**2 * s)
+    c = np.exp(-0.5 * q)
+    size = np.abs(e)
+    value = float((c * (1.0 + size * bound / (sigma**2 * s))).mean())
+    by_x = c * (size + np.abs(1.0 - q) * bound)
+    by_w = c * (e * e + np.abs(2.0 - q) * size * bound)
+    grad = (s * (np.abs(x).T @ by_x) + float(by_w.sum()) * np.abs(w)) / (n * sigma**2 * s**2)
+    return value, grad
+
+
+@settings(max_examples=80, deadline=None)
+@given(**MOMENT_PASS_SPACE, tied=st.booleans())
+def test_mtc_two_product_pass_matches_plain_oracle(n, p, offset, skewed, log_width, seed, tied):
+    # the same problems as mtee's: errors up to 1e6 spreads off zero and
+    # kernels 0.02-3 error deviations wide, where exp turns the last bit of
+    # e into up to ~1e3 ulp of c; the kernel is called once before, as an
+    # ascent reuses it
+    problem, w, sigma = _moment_pass_case(n, p, offset, skewed, log_width, seed, tied)
+    kernel = itl._mtc_kernel(problem, sigma)
+    kernel(2.0 * w)
+    value, grad = kernel(w)
+    ref_value, ref_grad = _plain_mtc_value_grad(problem, w, sigma)
+    value_scale, grad_scale = _mtc_rounding_scale(problem, w, sigma)
+    assert abs(value - ref_value) <= 1e-14 * value_scale
+    assert np.abs(grad - ref_grad).max() <= 1e-14 * grad_scale.max() + 1e-300
+
+
+@pytest.mark.parametrize(
+    "noise, n_records, profile",
+    [
+        (LaplacianNoise(0.0, 0.005), 250, "wide"),
+        (GaussianNoise(0.0, 0.005), 2000, "narrow"),
+    ],
+    ids=["criterion-3", "gaussian-2000"],
+)
+def test_mtc_and_cmtc_stop_where_the_plain_oracle_stops(noise, n_records, profile, monkeypatch):
+    # the criterion-3 window and criterion 2's 2,000-record Gaussian one
+    ramp = {
+        "wide": dict(vk_mag=(0.95, 1.08), angle_spread=(0.3, 0.6), sag_per_rad=0.08,
+                     ref_angle=(0.0, 0.6)),
+        "narrow": dict(vk_mag=(1.00, 1.02), angle_spread=(0.04, 0.24), sag_per_rad=0.05),
+    }[profile]
+    scenario = Scenario("window", ORACLE_LINE, LoadRampProfile(n_records=n_records, **ramp), noise)
+    configs = [EstimatorConfig("mtc"), EstimatorConfig("cmtc")]
+    runs = run_scenario(scenario, configs, seed=1)
+
+    def plain_kernel(problem, sigma):
+        return lambda w: _plain_mtc_value_grad(problem, w, sigma)
+
+    monkeypatch.setattr(itl, "_mtc_kernel", plain_kernel)
+    refs = run_scenario(scenario, configs, seed=1)
+    for run, ref in zip(runs, refs):
+        res, want = run.result, ref.result
+        assert res.converged and want.converged
+        assert res.iterations == want.iterations
+        assert np.allclose(res.w, want.w, rtol=1e-12, atol=0)
+    # cmtc keeps y1 + y3 = 0 exactly on every iterate (criterion 7 reads 0)
+    assert all(w[0] + w[2] == 0.0 for w, _ in runs[1].result.trace)
 
 
 def test_mtc_objective_formula():

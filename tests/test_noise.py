@@ -360,6 +360,80 @@ def test_large_em_fit_matches_nm_layout_to_rounding(size):
     assert _same_bits(fit.labels, ref.labels)
 
 
+def _plain_row_sums(a):
+    if a.shape[1] >= noise.EM_LARGE_FIT_SAMPLES:
+        return a.sum(axis=1) + 0.0
+    return np.add.accumulate(a, axis=1)[:, -1] + 0.0
+
+
+def _plain_em_once(x, w, mu, var, tol, max_iter):
+    """Oracle: _em_once summing resp and resp * x in two real passes, with
+    a fresh dev array every M-step."""
+    n = x.size
+    history = []
+    floored = False
+    converged = False
+    for _ in range(max_iter):
+        log_resp, log_pdf = noise._log_resp(x, w, mu, var)
+        loglik = float(log_pdf.sum())
+        if history and loglik - history[-1] < tol * max(1.0, abs(loglik)):
+            history.append(loglik)
+            converged = True
+            break
+        history.append(loglik)
+        resp = np.exp(log_resp, out=log_resp)
+        nk = np.maximum(_plain_row_sums(resp), 1e-300)
+        w = nk / n
+        mu = _plain_row_sums(resp * x) / nk
+        dev = x - mu[:, None]
+        dev *= dev
+        dev *= resp
+        var = _plain_row_sums(dev) / nk
+        if (var < noise.COLLAPSE_FLAG).any():
+            floored = True
+        var = np.maximum(var, noise.VARIANCE_FLOOR)
+    else:
+        log_resp, log_pdf = noise._log_resp(x, w, mu, var)
+        history.append(float(log_pdf.sum()))
+    return w, mu, var, np.exp(log_resp, out=log_resp), history, converged, floored
+
+
+def _point_mass_sample(size):
+    # 30% of the samples at 0.5: the component started there collapses onto it
+    rng = np.random.default_rng(3)
+    x = np.concatenate([rng.laplace(size=size - size * 3 // 10), np.full(size * 3 // 10, 0.5)])
+    rng.shuffle(x)
+    return x
+
+
+_LARGE_FIT = noise.EM_LARGE_FIT_SAMPLES
+
+
+@pytest.mark.parametrize(
+    "size, m, max_iter, case",
+    [(size, m, 500, "cold") for size in (1000, 4000, _LARGE_FIT - 1, _LARGE_FIT, 16000)
+     for m in (2, 3)]
+    + [(4000, 3, 7, "capped"), (1000, 2, 500, "floored"), (_LARGE_FIT, 2, 500, "floored")],
+)
+def test_em_once_matches_two_pass_oracle_bit_for_bit(size, m, max_iter, case):
+    # one complex accumulate gives the bits of two real ones, and long rows
+    # keep one pairwise sum per part; m = 3 on Gaussian samples runs to the cap
+    if case == "floored":
+        x = _point_mass_sample(size)
+        start = (np.full(2, 0.5), np.array([-0.5, 0.5]), np.array([1.0, 1e-3]))
+    else:
+        x = _oracle_samples("laplacian" if m == 2 else "gaussian", size, seed=size + m)
+        start = (np.full(m, 1.0 / m), np.quantile(x, (np.arange(m) + 0.5) / m), np.full(m, x.var()))
+    args = (x, *start, 1e-9, max_iter)
+    got, want = noise._em_once(*args), _plain_em_once(*args)
+    history, converged, floored = got[4:]
+    if case == "capped":
+        assert not converged and len(history) == max_iter + 1
+    assert floored == (case == "floored")
+    for g, r in zip(got, want):
+        assert _same_bits(g, r) if isinstance(g, np.ndarray) else g == r
+
+
 # --- the two cold starts and their row sums ------------------------------------
 
 _LARGE = np.random.default_rng(7).lognormal(size=(2, noise.EM_LARGE_FIT_SAMPLES)) * [[1.0], [1e-8]]
