@@ -208,7 +208,8 @@ def _fit_candidate(
     noise.EM_LARGE_FIT_SAMPLES samples or more, m >= 2 x fits run on those
     columns, taking the same EM steps in real arithmetic, and the BIC counts
     their log likelihood once per copy (McLachlan & Jones 1988).  Every
-    other fit, m = 1's closed form among them, sees all n * p samples.
+    other fit, m = 1's closed form among them, sees all n * p samples.  Fits
+    of that many samples or more take EM's one-exp E-step (noise._em_once).
     """
     n, p = problem.x.shape
     w = w0.copy()

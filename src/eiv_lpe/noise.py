@@ -33,11 +33,12 @@ __all__ = [
 VARIANCE_FLOOR = 1e-12
 COLLAPSE_FLAG = 1e-14
 
-# Fits on this many samples or more take NumPy's pairwise M-step sums, so they
-# match the (n, m) layout to rounding; smaller ones keep the left-to-right sums,
-# and with them the bits that criterion 3's printed egle medians follow (at
-# 2**12 criterion 4's seed-4 estimate already moves).
-EM_LARGE_FIT_SAMPLES = 1 << 13
+# Fits on this many samples or more take a probability-domain E-step and
+# NumPy's pairwise M-step sums, so they match the (n, m) layout to rounding;
+# smaller ones keep the log-domain E-step and left-to-right sums, and with them
+# the bits that criterion 3's printed egle medians follow: its largest fits
+# hold 4,000 samples, as tests/test_egle.py checks.
+EM_LARGE_FIT_SAMPLES = 1 << 12
 
 EM_TOL = 1e-9  # em_fit stops once an iteration gains under EM_TOL * max(1, |loglik|)
 
@@ -206,22 +207,17 @@ def _log_resp(x: np.ndarray, w: np.ndarray, mu: np.ndarray, var: np.ndarray):
 
 
 def _row_sums(a: np.ndarray, x: np.ndarray | None = None):
-    """The M-step sum of each row of `a`, in an order chosen by the row length.
+    """The M-step sum of each row of `a`, left to right from 0.
 
-    Rows shorter than ``EM_LARGE_FIT_SAMPLES`` are summed left to right from
-    0, the order in which ``.sum(axis=0)`` reduces a C-ordered (n, m) array,
-    so those fits keep the (n, m) layout's bits, which EM's hard labels and
-    iteration counts follow.  Longer rows take NumPy's pairwise sum, about
-    eight times faster and more accurate (Higham 1993).  Adding 0.0 turns an
-    all-(-0.0) row into 0.0, as the reduction from 0 does.
+    That is the order in which ``.sum(axis=0)`` reduces a C-ordered (n, m)
+    array, so fits under ``EM_LARGE_FIT_SAMPLES`` samples keep the (n, m)
+    layout's bits, which EM's hard labels and iteration counts follow.
+    Adding 0.0 turns an all-(-0.0) row into 0.0, as the reduction from 0 does.
 
-    Given x, also returns the row sums of a * x.  Short rows take both from
-    one accumulate over the complex a + i a x, whose parts add independently
-    and so keep their bits; NumPy's complex pairwise sum takes another tree.
+    Given x, also returns the row sums of a * x, both from one accumulate
+    over the complex a + i a x, whose parts add independently and so keep
+    their bits; NumPy's complex pairwise sum takes another tree.
     """
-    if a.shape[1] >= EM_LARGE_FIT_SAMPLES:
-        sums = a.sum(axis=1) + 0.0
-        return sums if x is None else (sums, (a * x).sum(axis=1) + 0.0)
     if x is None:
         return np.add.accumulate(a, axis=1)[:, -1] + 0.0
     pair = np.empty(a.shape, complex)
@@ -239,37 +235,68 @@ def _em_once(
     tol: float,
     max_iter: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[float], bool, bool]:
-    """One EM run from (w, mu, var); resp is (m, n), from the final E-step."""
+    """One EM run from (w, mu, var); resp is (m, n), from the final E-step.
+
+    Fits under ``EM_LARGE_FIT_SAMPLES`` samples take _log_resp and _row_sums,
+    the (n, m) layout's bits.  Larger fits match it to rounding with one exp
+    per E-step in buffers set up once per run (lc the log joint density, top
+    its column max, s the column sum of sh = exp(lc - top): loglik = sum(log
+    s) + sum(top), resp = sh * (1/s)) and NumPy's pairwise M-step sums,
+    faster and more accurate than left to right (Higham 1993).
+    """
     n = x.size
     dev = np.empty((w.size, n))
+    if n < EM_LARGE_FIT_SAMPLES:
+        def e_step(w, mu, var):
+            log_resp, log_pdf = _log_resp(x, w, mu, var)
+            return np.exp(log_resp, out=log_resp), float(log_pdf.sum())
+
+        row_sums = _row_sums
+    else:
+        lc, top, s = np.empty((w.size, n)), np.empty(n), np.empty(n)
+
+        def e_step(w, mu, var):
+            np.subtract(x, mu[:, None], out=lc)
+            np.multiply(lc, lc, out=lc)
+            np.multiply(lc, (0.5 / var)[:, None], out=lc)
+            np.subtract((np.log(w) - 0.5 * np.log(2.0 * np.pi * var))[:, None], lc, out=lc)
+            lc.max(axis=0, out=top)
+            np.exp(np.subtract(lc, top, out=lc), out=lc)
+            lc.sum(axis=0, out=s)
+            loglik = top.sum()
+            loglik += np.log(s, out=top).sum()
+            return np.multiply(lc, np.divide(1.0, s, out=s), out=lc), float(loglik)
+
+        def row_sums(a, x=None):
+            sums = a.sum(axis=1) + 0.0
+            return sums if x is None else (sums, np.multiply(a, x, out=dev).sum(axis=1) + 0.0)
+
     history: list[float] = []
     floored = False
     converged = False
     for _ in range(max_iter):
-        log_resp, log_pdf = _log_resp(x, w, mu, var)
-        loglik = float(log_pdf.sum())
+        resp, loglik = e_step(w, mu, var)
         # tol scales with |loglik|: the sum over samples grows with n
         if history and loglik - history[-1] < tol * max(1.0, abs(loglik)):
             history.append(loglik)
             converged = True
             break
         history.append(loglik)
-        resp = np.exp(log_resp, out=log_resp)
-        nk, resp_x = _row_sums(resp, x)
+        nk, resp_x = row_sums(resp, x)
         nk = np.maximum(nk, 1e-300)
         w = nk / n
         mu = resp_x / nk
         np.subtract(x, mu[:, None], out=dev)
         dev *= dev
         dev *= resp
-        var = _row_sums(dev) / nk
+        var = row_sums(dev) / nk
         if (var < COLLAPSE_FLAG).any():
             floored = True
         var = np.maximum(var, VARIANCE_FLOOR)
     else:
-        log_resp, log_pdf = _log_resp(x, w, mu, var)
-        history.append(float(log_pdf.sum()))
-    return w, mu, var, np.exp(log_resp, out=log_resp), history, converged, floored
+        resp, loglik = e_step(w, mu, var)
+        history.append(loglik)
+    return w, mu, var, resp, history, converged, floored
 
 
 def em_fit(
@@ -285,9 +312,9 @@ def em_fit(
     pooled sample variance, uniform weights.  One additional restart with
     seed-perturbed means is run, and it wins only with a strictly higher
     final log likelihood: a tie or a NaN keeps the quantile start.  On
-    ``EM_LARGE_FIT_SAMPLES`` samples or more the M-step sums are pairwise:
-    those fits match the (n, m) layout to rounding, smaller ones bit for
-    bit (see _row_sums).
+    ``EM_LARGE_FIT_SAMPLES`` samples or more the E-step takes one exp in the
+    probability domain and the M-step sums are pairwise: those fits match
+    the (n, m) layout to rounding, smaller ones bit for bit (see _em_once).
     Passing a warm-start model via ``init`` replaces both cold starts with
     a single run from that model's parameters.  For m = 1 the closed-form
     sample moments take the place of EM (``init`` is not used).
@@ -297,6 +324,8 @@ def em_fit(
         raise ValueError(f"need at least m={m} samples, got {x.size}")
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
+    if isinstance(max_iter, bool) or max_iter < 1:
+        raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
     if not np.isfinite(x).all():
         raise ValueError("samples must be finite")
 

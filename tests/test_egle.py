@@ -27,7 +27,7 @@ from eiv_lpe.estimators.egle import (
 )
 from eiv_lpe import noise
 from eiv_lpe.line_model import EivProblem, LineParameters, build_regression
-from eiv_lpe.noise import GaussianNoise, GmmModel, apply_noise, em_fit, gmm_bic
+from eiv_lpe.noise import GaussianNoise, GmmModel, LaplacianNoise, apply_noise, em_fit, gmm_bic
 from eiv_lpe.scenario import LoadRampProfile, Scenario, generate_true_records, run_scenario
 
 
@@ -348,6 +348,25 @@ def test_egle_estimate_on_a_long_window_does_not_move_with_pairwise_sums(monkeyp
         two.x_gmm.log_density(x_s.ravel()).sum(), 2, n * p
     )
     assert two.bic == pytest.approx(bic, rel=1e-12, abs=0)
+
+
+def test_criterion_3_em_fits_stay_below_the_large_fit_threshold(monkeypatch):
+    # criterion 3's printed egle medians follow the last bits of its fits
+    # (ROADMAP, Fact A), so none of them may take the large-fit EM path
+    scenario = Scenario(
+        "laplace", LineParameters(r=0.00269, x=0.0302, b=0.38),
+        LoadRampProfile(n_records=250, vk_mag=(0.95, 1.08), angle_spread=(0.3, 0.6),
+                        sag_per_rad=0.08, ref_angle=(0.0, 0.6)),
+        LaplacianNoise(0.0, 0.005),
+    )
+    calls = _spy_em_fit(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        (out,) = run_scenario(scenario, [EstimatorConfig("egle")], seed=4)
+    assert out.error is None
+    sizes = {size for _, size in calls}
+    assert max(sizes) == 4000 < noise.EM_LARGE_FIT_SAMPLES
+    assert {m for m, _ in calls} == {1, 2}
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eiv_lpe import noise
@@ -178,6 +178,15 @@ def test_em_argument_validation():
         em_fit(np.array([1.0, np.nan, 0.0]), 1)
 
 
+@pytest.mark.parametrize("max_iter", [0, -3, True, False])
+def test_em_fit_rejects_max_iter_below_one(max_iter):
+    # a cap below one would return the quantile start as a one-E-step fit
+    x = sample_noise(GaussianNoise(0.0, 1.0), 50, seed=2)
+    for init in (None, GmmModel(np.full(2, 0.5), np.array([-1.0, 1.0]), np.ones(2))):
+        with pytest.raises(ValueError, match="max_iter"):
+            em_fit(x, 2, max_iter=max_iter, init=init)
+
+
 def test_em_variance_floor_warning():
     with pytest.warns(UserWarning):
         fit = em_fit(np.zeros(5), 1)
@@ -206,8 +215,8 @@ def test_gmm_bic_hand_value():
 # right below EM_LARGE_FIT_SAMPLES samples.  The (n, m) kernel below is the
 # reference those fits must match bit for bit: a different summation order
 # (pairwise sums, a matrix product) moves the hard labels and iteration
-# counts that egle's results follow.  Larger fits sum pairwise and match it
-# to rounding.
+# counts that egle's results follow.  Larger fits take a one-exp E-step and
+# pairwise sums and match it to rounding.
 
 
 def _reference_log_resp(x, w, mu, var):
@@ -325,6 +334,9 @@ def test_log_density_is_the_em_kernel_log_likelihood():
 
 @settings(max_examples=60, deadline=None)
 @given(**_ORACLE_CASES)
+# the one-exp E-step and pairwise sums of large fits
+@example(kind="gaussian", m=3, n=noise.EM_LARGE_FIT_SAMPLES, seed=0, warm=False)
+@example(kind="egle", m=2, n=noise.EM_LARGE_FIT_SAMPLES // 4, seed=1, warm=True)
 def test_em_loglik_never_decreases(kind, m, n, seed, warm):
     x = _oracle_samples(kind, n, seed)
     init = _oracle_init(x, m, seed) if warm else None
@@ -361,8 +373,6 @@ def test_large_em_fit_matches_nm_layout_to_rounding(size):
 
 
 def _plain_row_sums(a):
-    if a.shape[1] >= noise.EM_LARGE_FIT_SAMPLES:
-        return a.sum(axis=1) + 0.0
     return np.add.accumulate(a, axis=1)[:, -1] + 0.0
 
 
@@ -409,22 +419,23 @@ def _point_mass_sample(size):
 _LARGE_FIT = noise.EM_LARGE_FIT_SAMPLES
 
 
-@pytest.mark.parametrize(
-    "size, m, max_iter, case",
-    [(size, m, 500, "cold") for size in (1000, 4000, _LARGE_FIT - 1, _LARGE_FIT, 16000)
-     for m in (2, 3)]
-    + [(4000, 3, 7, "capped"), (1000, 2, 500, "floored"), (_LARGE_FIT, 2, 500, "floored")],
-)
-def test_em_once_matches_two_pass_oracle_bit_for_bit(size, m, max_iter, case):
-    # one complex accumulate gives the bits of two real ones, and long rows
-    # keep one pairwise sum per part; m = 3 on Gaussian samples runs to the cap
+def _em_once_case(size, m, case):
     if case == "floored":
         x = _point_mass_sample(size)
-        start = (np.full(2, 0.5), np.array([-0.5, 0.5]), np.array([1.0, 1e-3]))
-    else:
-        x = _oracle_samples("laplacian" if m == 2 else "gaussian", size, seed=size + m)
-        start = (np.full(m, 1.0 / m), np.quantile(x, (np.arange(m) + 0.5) / m), np.full(m, x.var()))
-    args = (x, *start, 1e-9, max_iter)
+        return x, np.full(2, 0.5), np.array([-0.5, 0.5]), np.array([1.0, 1e-3])
+    x = _oracle_samples("laplacian" if m == 2 else "gaussian", size, seed=size + m)
+    return x, np.full(m, 1.0 / m), np.quantile(x, (np.arange(m) + 0.5) / m), np.full(m, x.var())
+
+
+@pytest.mark.parametrize(
+    "size, m, max_iter, case",
+    [(size, m, 500, "cold") for size in (1000, 4000, _LARGE_FIT - 1) for m in (2, 3)]
+    + [(4000, 3, 7, "capped"), (1000, 2, 500, "floored")],
+)
+def test_em_once_matches_two_pass_oracle_bit_for_bit(size, m, max_iter, case):
+    # one complex accumulate gives the bits of two real ones; m = 3 on
+    # Gaussian samples runs to the cap
+    args = (*_em_once_case(size, m, case), 1e-9, max_iter)
     got, want = noise._em_once(*args), _plain_em_once(*args)
     history, converged, floored = got[4:]
     if case == "capped":
@@ -432,6 +443,24 @@ def test_em_once_matches_two_pass_oracle_bit_for_bit(size, m, max_iter, case):
     assert floored == (case == "floored")
     for g, r in zip(got, want):
         assert _same_bits(g, r) if isinstance(g, np.ndarray) else g == r
+
+
+@pytest.mark.parametrize(
+    "size, m, case",
+    [(size, m, "cold") for size in (_LARGE_FIT, 16000) for m in (2, 3)]
+    + [(_LARGE_FIT, 2, "floored")],
+)
+def test_large_em_once_matches_nm_layout_to_rounding(size, m, case):
+    # the one-exp E-step and pairwise sums take the (n, m) kernel's steps:
+    # the same stop and floor, parameters and history to rounding
+    args = (*_em_once_case(size, m, case), 1e-9, 500)
+    got, want = noise._em_once(*args), _reference_em_once(*args)
+    assert (len(got[4]), got[5], got[6]) == (len(want[4]), want[5], want[6])
+    assert got[6] == (case == "floored")
+    for g, r in zip(got[:3], want[:3]):
+        np.testing.assert_allclose(g, r, rtol=1e-10)
+    np.testing.assert_allclose(got[4], want[4], rtol=1e-12)
+    np.testing.assert_allclose(got[3], want[3], rtol=0, atol=1e-12)
 
 
 # --- the two cold starts and their row sums ------------------------------------
@@ -453,14 +482,10 @@ _LARGE = np.random.default_rng(7).lognormal(size=(2, noise.EM_LARGE_FIT_SAMPLES)
     ids=["m1", "m2", "m3", "n1", "negative-zero", "below-large", "large"],
 )
 def test_row_sums_match_2d_cumsum_byte_for_byte(a):
+    # left to right at every length, also as the real part of the paired sums
     left_to_right = np.cumsum(a, axis=1)[:, -1] + 0.0
-    got = noise._row_sums(a)
-    if a.shape[1] < noise.EM_LARGE_FIT_SAMPLES:
-        assert _same_bits(got, left_to_right)
-    else:
-        # numpy's pairwise sum, which this array tells apart from the serial one
-        assert _same_bits(got, a.sum(axis=1) + 0.0)
-        assert not _same_bits(got, left_to_right)
+    assert _same_bits(noise._row_sums(a), left_to_right)
+    assert _same_bits(noise._row_sums(a, np.ones(a.shape[1]))[0], left_to_right)
 
 
 def _reference_cold_em_fit(x, m, seed, tol, max_iter):
