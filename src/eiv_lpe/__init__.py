@@ -13,12 +13,7 @@ from .estimators import (
     EstimateResult,
     EstimatorConfig,
     EstimatorError,
-    cmtc_estimate,
-    egle_estimate,
     estimate,
-    mtc_estimate,
-    mtee_estimate,
-    tls_estimate,
 )
 from .line_model import (
     EivProblem,
@@ -70,16 +65,11 @@ __all__ = [
     "are",
     "branch_currents",
     "build_regression",
-    "cmtc_estimate",
-    "egle_estimate",
     "estimate",
     "generate_true_records",
     "gmm_bic",
-    "mtc_estimate",
-    "mtee_estimate",
     "params_to_admittance",
     "run_scenario",
     "sample_noise",
     "simulate_records",
-    "tls_estimate",
 ]

@@ -14,7 +14,6 @@ m is chosen by the lowest summed BIC of the two mixture fits.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +36,6 @@ __all__ = [
     "egle_em_samples",
     "solve_params",
     "NewtonResult",
-    "egle_estimate",
 ]
 
 NEWTON_MAX_ITER = 50
@@ -151,10 +149,8 @@ def solve_params(
         try:
             step = np.linalg.solve(kkt, rhs)[:p]
         except np.linalg.LinAlgError as exc:
-            cond = np.linalg.cond(jac)
-            raise EstimatorError(
-                f"singular Newton system (cond(J) = {cond:.3e})"
-            ) from exc
+            cond = np.linalg.cond(kkt)
+            raise EstimatorError(f"singular Newton system (cond(KKT) = {cond:.3e})") from exc
         if not np.isfinite(step).all():
             raise EstimatorError("non-finite Newton step")
         w = w + step
@@ -291,7 +287,7 @@ def _fit_candidate(
     )
 
 
-def egle_estimate(problem: EivProblem, config: EstimatorConfig) -> EstimateResult:
+def _egle_estimate(problem: EivProblem, config: EstimatorConfig) -> EstimateResult:
     """Fit a candidate per m = 1..m_max and keep the one BIC selects.
 
     Every candidate starts from the same w0 (see warm_start).  The winner
@@ -303,7 +299,6 @@ def egle_estimate(problem: EivProblem, config: EstimatorConfig) -> EstimateResul
     EstimatorError
         If every candidate m fails, leaving nothing to select from.
     """
-    start = time.perf_counter()
     w0 = warm_start(problem, config)
     orders = range(1, config.egle_m_max + 1)
     candidates = tuple(_fit_candidate(problem, config, w0, m) for m in orders)
@@ -320,6 +315,5 @@ def egle_estimate(problem: EivProblem, config: EstimatorConfig) -> EstimateResul
         iterations=win.outer_iters,
         converged=win.converged,
         trace=win.trace,
-        elapsed=time.perf_counter() - start,
         egle_meta=EgleMeta(m_star=win.m, candidates=candidates),
     )

@@ -22,7 +22,6 @@ iterates blow up.
 from __future__ import annotations
 
 import math
-import time
 from collections.abc import Callable
 
 import numpy as np
@@ -41,11 +40,8 @@ __all__ = [
     "total_error",
     "mtee_objective",
     "mtee_gradient",
-    "mtee_estimate",
     "mtc_objective",
     "mtc_gradient",
-    "mtc_estimate",
-    "cmtc_estimate",
 ]
 
 # Pairwise kernel passes run over balanced row blocks of about this many
@@ -225,15 +221,20 @@ def mtc_gradient(problem: EivProblem, w: np.ndarray, sigma: float) -> np.ndarray
     return _mtc_kernel(problem, sigma)(np.asarray(w, dtype=float))[1]
 
 
-def _ascent(problem: EivProblem, config: EstimatorConfig, method: str) -> EstimateResult:
-    """The fixed-step ascent shared by mtee, mtc and cmtc.
+def _ascent(problem: EivProblem, config: EstimatorConfig) -> EstimateResult:
+    """The fixed-step ascent of config.method: mtee, mtc or cmtc.
 
-    mtee ascends the information potential, mtc and cmtc the correntropy;
-    cmtc follows each step with the multiplier correction that restores
-    the equality constraint, which mtee and mtc ignore.  Starts from
-    warm_start and stops when the max-norm update is <= tol.
+    mtee ascends the information potential, mtc and cmtc the correntropy.
+    cmtc follows each unconstrained step w + eta g with the multiplier
+    correction eta * C * lambda,
+
+        lambda = (1/eta) (C^T C)^{-1} (f - C^T w - eta C^T g),
+
+    which lands every iterate exactly on the constraint set C^T w = f;
+    mtee and mtc ignore the constraint.  Starts from warm_start and stops
+    when the max-norm update is <= tol.
     """
-    start = time.perf_counter()
+    method = config.method
     sigma = float(config.kernel_sigma)
     value_grad = (_mtee_kernel if method == "mtee" else _mtc_kernel)(problem, sigma)
     constrained = method == "cmtc"
@@ -241,8 +242,6 @@ def _ascent(problem: EivProblem, config: EstimatorConfig, method: str) -> Estima
         if problem.constraint is None:
             raise ValueError("cmtc requires a problem with an equality constraint")
         c_mat, f_vec = problem.constraint
-        # Oblique projector pieces for the multiplier update: the step
-        # eta * C * lambda restores C^T w = f exactly each iteration.
         ctc_inv = np.linalg.inv(c_mat.T @ c_mat)
     w = warm_start(problem, config)
     step = config.step if config.step is not None else _auto_step(problem, w, sigma, method)
@@ -273,28 +272,5 @@ def _ascent(problem: EivProblem, config: EstimatorConfig, method: str) -> Estima
         iterations=iterations,
         converged=converged,
         trace=Trace(ws, values),
-        elapsed=time.perf_counter() - start,
     )
 
-
-def mtee_estimate(problem: EivProblem, config: EstimatorConfig) -> EstimateResult:
-    """Fixed-step ascent of the total error information potential."""
-    return _ascent(problem, config, "mtee")
-
-
-def mtc_estimate(problem: EivProblem, config: EstimatorConfig) -> EstimateResult:
-    """Fixed-step ascent of the total correntropy objective."""
-    return _ascent(problem, config, "mtc")
-
-
-def cmtc_estimate(problem: EivProblem, config: EstimatorConfig) -> EstimateResult:
-    """Constrained total correntropy ascent.
-
-    Each step applies the unconstrained correntropy update followed by the
-    multiplier correction eta * C * lambda with
-
-        lambda = (1/eta) (C^T C)^{-1} (f - C^T w - eta C^T g),
-
-    which lands every iterate exactly on the constraint set C^T w = f.
-    """
-    return _ascent(problem, config, "cmtc")

@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..line_model import EivProblem
 from .config import EstimateResult, EstimatorConfig, EstimatorError, Trace
 
-__all__ = ["tls_estimate", "tls_objective", "warm_start"]
+__all__ = ["tls_objective", "warm_start"]
 
 
 def tls_objective(problem: EivProblem, w: np.ndarray) -> float:
@@ -18,14 +16,13 @@ def tls_objective(problem: EivProblem, w: np.ndarray) -> float:
     return float(r @ r / (w @ w + problem.eps0**-2))
 
 
-def tls_estimate(problem: EivProblem, config: EstimatorConfig | None = None) -> EstimateResult:
+def _tls_w(problem: EivProblem) -> np.ndarray:
     """Classic TLS fit from the smallest right singular vector of [X y].
 
     With [X y] = U D V^T, the solution is w = -v[:p] / v[p] where v is the
     right singular vector of the smallest singular value.  A square X
     (n = p rows) takes the full V, whose last row is the null direction of
-    [X y] that the thin SVD leaves out.  TLS takes no start: the trace runs
-    from zeros to w, and `config` is ignored, taken so all methods are called alike.
+    [X y] that the thin SVD leaves out.
 
     Raises
     ------
@@ -33,7 +30,6 @@ def tls_estimate(problem: EivProblem, config: EstimatorConfig | None = None) -> 
         If the last component of the singular vector is numerically zero
         (no finite TLS solution).
     """
-    start = time.perf_counter()
     p = problem.x.shape[1]
     stacked = np.column_stack([problem.x, problem.y])
     _, _, vt = np.linalg.svd(stacked, full_matrices=stacked.shape[0] <= p)
@@ -42,17 +38,18 @@ def tls_estimate(problem: EivProblem, config: EstimatorConfig | None = None) -> 
         raise EstimatorError(
             f"TLS solution does not exist: |v[p]| = {abs(v[p]):.3e} < 1e-14"
         )
-    w = -v[:p] / v[p]
-    zero = np.zeros(p)
+    return -v[:p] / v[p]
+
+
+def _tls_estimate(problem: EivProblem, config: EstimatorConfig) -> EstimateResult:
+    """The TLS result: one iteration, whose trace runs from zeros to w.
+
+    TLS takes no start, so config.w0 is ignored.
+    """
+    w = _tls_w(problem)
+    zero = np.zeros_like(w)
     trace = Trace([zero, w], [tls_objective(problem, zero), tls_objective(problem, w)])
-    return EstimateResult(
-        method="tls",
-        w=w,
-        iterations=1,
-        converged=True,
-        trace=trace,
-        elapsed=time.perf_counter() - start,
-    )
+    return EstimateResult(method="tls", w=w, iterations=1, converged=True, trace=trace)
 
 
 def warm_start(problem: EivProblem, config: EstimatorConfig) -> np.ndarray:
@@ -66,7 +63,7 @@ def warm_start(problem: EivProblem, config: EstimatorConfig) -> np.ndarray:
         If w0 is unset and the problem has no finite TLS solution.
     """
     if config.w0 is None:
-        return tls_estimate(problem).w
+        return _tls_w(problem)
     p = problem.x.shape[1]
     w0 = np.array(config.w0, dtype=float)
     if w0.shape != (p,):

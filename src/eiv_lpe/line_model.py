@@ -68,7 +68,7 @@ class EivProblem:
     ----------
     x : (n, p) float array of noisy regressors.
     y : (n,) float array of noisy responses.
-    constraint : optional (C, f) pair encoding the equality C^T w = f.
+    constraint : optional (C, f) pair encoding C^T w = f; C has independent columns.
     eps0 : ratio of response to regressor noise intensity (1 = equal).
     """
 
@@ -97,6 +97,10 @@ class EivProblem:
             f = np.asarray(f, dtype=float)
             if c.ndim != 2 or c.shape[0] != p or f.shape != (c.shape[1],):
                 raise ValueError("constraint shapes must be (p, c) and (c,)")
+            if not (np.isfinite(c).all() and np.isfinite(f).all()):
+                raise ValueError("constraint must be finite")
+            if c.shape[1] and np.linalg.matrix_rank(c) < c.shape[1]:
+                raise ValueError("constraint columns must be linearly independent")
             self.constraint = (c, f)
 
 

@@ -319,13 +319,12 @@ def em_fit(
     a single run from that model's parameters.  For m = 1 the closed-form
     sample moments take the place of EM (``init`` is not used).
     """
+    for name, value in (("m", m), ("max_iter", max_iter)):
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
+            raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
     x = np.asarray(samples, dtype=float).ravel()
     if x.size < m:
         raise ValueError(f"need at least m={m} samples, got {x.size}")
-    if m < 1:
-        raise ValueError(f"m must be at least 1, got {m}")
-    if isinstance(max_iter, bool) or max_iter < 1:
-        raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
     if not np.isfinite(x).all():
         raise ValueError("samples must be finite")
 

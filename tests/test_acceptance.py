@@ -19,12 +19,11 @@ import warnings
 import numpy as np
 import pytest
 
-from eiv_lpe.estimators import EstimatorConfig, estimate, tls_estimate
+from eiv_lpe.estimators import EstimatorConfig, estimate
 from eiv_lpe.estimators.egle import solve_params
 from eiv_lpe.estimators.itl import (
     mtc_gradient,
     mtc_objective,
-    mtee_estimate,
     mtee_gradient,
     mtee_objective,
     total_error,
@@ -343,7 +342,7 @@ def test_criterion_8_oracle_equivalences(criterion_log):
         x = rng.normal(size=(n, p))
         y = x @ w_true + 0.03 * rng.normal(size=n)
         problem = EivProblem(x + 0.03 * rng.normal(size=(n, p)), y)
-        w_tls = tls_estimate(problem).w
+        w_tls = estimate(problem, EstimatorConfig("tls")).w
         m = np.column_stack([problem.x, problem.y])
         v = np.linalg.eigh(m.T @ m)[1][:, 0]
         w_oracle = -v[:p] / v[p]
@@ -359,7 +358,7 @@ def test_criterion_8_oracle_equivalences(criterion_log):
         x = rng.normal(size=(n, p))
         y = x @ w_true + 0.05 * rng.normal(size=n)
         problem = EivProblem(x + 0.05 * rng.normal(size=(n, p)), y)
-        w_tls = tls_estimate(problem).w
+        w_tls = estimate(problem, EstimatorConfig("tls")).w
         pinned = GmmModel(np.array([1.0]), np.array([0.0]), np.array([0.05**2]))
         labels = np.zeros(n, dtype=int)
         w_egle = solve_params(problem, pinned, pinned, labels, w_tls * 1.05).w
@@ -410,16 +409,16 @@ def test_criterion_9_complexity_proxy(criterion_log):
     config = EstimatorConfig("mtee", w0=guess.copy(), max_iters=200, tol=1e-300)
     per_iter = dict.fromkeys(problems, math.inf)
     for problem in problems.values():
-        mtee_estimate(problem, config)
+        estimate(problem, config)
     for _ in range(5):
         for rows, problem in problems.items():
             t0 = time.thread_time()
-            res = mtee_estimate(problem, config)
+            res = estimate(problem, config)
             per_iter[rows] = min(per_iter[rows], (time.thread_time() - t0) / res.iterations)
     ratio = per_iter[400] / per_iter[200]
     # (b) total-time gap against the O(n) correntropy ascent at 2000 rows
     problem = _mtee_problem(500)
-    res_mtee = mtee_estimate(problem, EstimatorConfig("mtee", w0=guess.copy()))
+    res_mtee = estimate(problem, EstimatorConfig("mtee", w0=guess.copy()))
     res_mtc = estimate(problem, EstimatorConfig("mtc", w0=guess.copy()))
     total_ratio = res_mtee.elapsed / res_mtc.elapsed
     ok = 3.0 <= ratio <= 5.0 and total_ratio >= 10.0

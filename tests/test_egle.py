@@ -13,11 +13,8 @@ from eiv_lpe.estimators import (
     EstimatorConfig,
     EstimatorError,
     Trace,
-    cmtc_estimate,
     egle,
-    egle_estimate,
     estimate,
-    tls_estimate,
 )
 from eiv_lpe.estimators.egle import (
     _trace_objective,
@@ -205,7 +202,7 @@ def test_solve_params_with_zero_mean_gaussian_matches_tls():
     rng = np.random.default_rng(2)
     for i in range(3):
         problem, _ = _eiv_instance(rng, n=120, p=3, noise=0.05)
-        w_tls = tls_estimate(problem).w
+        w_tls = estimate(problem, EstimatorConfig("tls")).w
         pinned = GmmModel(np.array([1.0]), np.array([0.0]), np.array([0.05**2]))
         labels = np.zeros(problem.y.size, dtype=int)
         res = solve_params(problem, pinned, pinned, labels, w_tls * 1.05)
@@ -224,6 +221,18 @@ def test_solve_params_respects_constraint():
     labels = np.zeros(problem.y.size, dtype=int)
     res = solve_params(problem, pinned, pinned, labels, w_true + 0.1)
     assert abs((c.T @ res.w).item() - f_vec.item()) < 1e-10
+
+
+def test_singular_kkt_system_reports_the_kkt_condition_number(monkeypatch):
+    # J = [[0, 1], [1, 0]] is well conditioned, but it vanishes on the
+    # constraint's null space w1 = 0, so the KKT matrix is singular
+    problem = EivProblem(np.eye(2), np.ones(2), constraint=([[1.0], [0.0]], [0.0]))
+    jac = np.array([[0.0, 1.0], [1.0, 0.0]])
+    monkeypatch.setattr(egle, "newton_system", lambda *args: (np.ones(2), jac))
+    pinned = GmmModel(np.array([1.0]), np.array([0.0]), np.array([1.0]))
+    with pytest.raises(EstimatorError, match=r"^singular Newton system \(cond\(KKT\) = ") as info:
+        solve_params(problem, pinned, pinned, np.zeros(2, dtype=int), np.zeros(2))
+    assert float(str(info.value).split("= ")[1].rstrip(")")) > 1e12
 
 
 def _unconstrained_newton(problem, y_gmm, x_gmm, labels, w0):
@@ -267,7 +276,7 @@ def test_egle_estimate_near_truth_and_meta():
     with warnings.catch_warnings():
         # the m = 2 candidate may collapse a variance on near-Gaussian noise
         warnings.simplefilter("ignore", UserWarning)
-        res = egle_estimate(problem, EstimatorConfig("egle", egle_m_max=2, w0=w_true + 0.05))
+        res = estimate(problem, EstimatorConfig("egle", egle_m_max=2, w0=w_true + 0.05))
     assert np.abs(res.w - w_true).max() < 0.05
     meta = res.egle_meta
     assert [c.m for c in meta.candidates] == [1, 2]
@@ -387,7 +396,7 @@ def test_egle_fits_x_mixtures_on_distinct_columns_only_when_signs_pair_up(
     monkeypatch.setattr(noise, "EM_LARGE_FIT_SAMPLES", 1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        res = egle_estimate(problem, EstimatorConfig("egle", egle_m_max=2, w0=w_true))
+        res = estimate(problem, EstimatorConfig("egle", egle_m_max=2, w0=w_true))
     assert all(c.failure is None for c in res.egle_meta.candidates)
     assert {size for m, size in calls if m == 1} == {n, n * p}
     assert {size for m, size in calls if m == 2} == {n, n * distinct_columns}
@@ -406,7 +415,7 @@ def test_egle_keeps_other_candidates_when_em_fails(monkeypatch):
     monkeypatch.setattr(egle, "em_fit", em_fit)
     rng = np.random.default_rng(4)
     problem, w_true = _eiv_instance(rng, n=200, p=3, noise=0.02)
-    res = egle_estimate(problem, EstimatorConfig("egle", egle_m_max=2, w0=w_true + 0.05))
+    res = estimate(problem, EstimatorConfig("egle", egle_m_max=2, w0=w_true + 0.05))
     assert res.egle_meta.m_star == 1
     one, two = res.egle_meta.candidates
     assert np.isfinite(one.bic) and one.failure is None
@@ -428,17 +437,17 @@ def test_egle_candidate_failing_in_a_later_iteration_keeps_what_it_completed(mon
         if y_gmm.weights.size != 2:
             return real_solve(problem, y_gmm, *args)
         if len(done) == 2:
-            raise EstimatorError("singular Newton system (cond(J) = inf)")
+            raise EstimatorError("singular Newton system (cond(KKT) = inf)")
         done.append(real_solve(problem, y_gmm, *args))
         return done[-1]
 
     monkeypatch.setattr(egle, "solve_params", solve_params)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        res = egle_estimate(problem, EstimatorConfig("egle", egle_m_max=2, w0=w_true + 0.05))
+        res = estimate(problem, EstimatorConfig("egle", egle_m_max=2, w0=w_true + 0.05))
     one, two = res.egle_meta.candidates
     assert res.egle_meta.m_star == 1 and one.failure is None
-    assert two.failure == "singular Newton system (cond(J) = inf)"
+    assert two.failure == "singular Newton system (cond(KKT) = inf)"
     assert two.outer_iters == 3 and len(two.trace) == 3
     assert two.w.tobytes() == two.trace.w[-1].tobytes()
     assert two.y_gmm.weights.size == two.x_gmm.weights.size == 2
@@ -450,8 +459,8 @@ def test_egle_candidate_failing_in_a_later_iteration_keeps_what_it_completed(mon
 def test_egle_starts_from_tls_when_unseeded():
     rng = np.random.default_rng(5)
     problem, _ = _eiv_instance(rng, n=150, p=2, noise=0.01)
-    res = egle_estimate(problem, EstimatorConfig("egle", egle_m_max=1))
-    w_tls = tls_estimate(problem).w
+    res = estimate(problem, EstimatorConfig("egle", egle_m_max=1))
+    w_tls = estimate(problem, EstimatorConfig("tls")).w
     assert np.allclose(res.trace[0][0], w_tls, rtol=0, atol=1e-12)
 
 
@@ -472,7 +481,7 @@ def test_egle_candidates_count_their_newton_steps(monkeypatch):
     monkeypatch.setattr(egle, "solve_params", solve_params)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        watched = egle_estimate(problem, config)
+        watched = estimate(problem, config)
     for c in watched.egle_meta.candidates:
         assert len(solves[c.m]) == c.outer_iters
         assert c.newton_steps == sum(r.iterations for r in solves[c.m]) >= c.outer_iters
@@ -481,7 +490,7 @@ def test_egle_candidates_count_their_newton_steps(monkeypatch):
     monkeypatch.setattr(egle, "NEWTON_MAX_ITER", 1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        capped = egle_estimate(problem, config)
+        capped = estimate(problem, config)
     for c in capped.egle_meta.candidates:
         assert c.failure is None
         assert c.newton_unconverged == c.newton_steps == c.outer_iters
@@ -565,10 +574,10 @@ def test_egle_cycle_replay_matches_the_plain_loop_bit_for_bit(monkeypatch, seed)
     calls = _spy_em_fit(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        replayed = egle_estimate(problem, config)
+        replayed = estimate(problem, config)
         fits = [m for m, _ in calls]
         monkeypatch.setattr(egle, "_fit_candidate", _plain_fit_candidate)
-        plain = egle_estimate(problem, config)
+        plain = estimate(problem, config)
     assert any(c.cycle is not None for c in replayed.egle_meta.candidates)
     assert replayed.egle_meta.m_star == plain.egle_meta.m_star
     names = [f.name for f in fields(EgleCandidate) if f.name != "cycle"]
@@ -589,7 +598,7 @@ def test_egle_cycle_replay_matches_the_plain_loop_bit_for_bit(monkeypatch, seed)
 def test_egle_outer_iteration_cap():
     rng = np.random.default_rng(6)
     problem, w_true = _eiv_instance(rng, n=80, p=2, noise=0.05)
-    res = egle_estimate(
+    res = estimate(
         problem, EstimatorConfig("egle", egle_m_max=1, max_iters=2, w0=w_true + 0.3)
     )
     assert res.iterations <= 2
@@ -602,8 +611,8 @@ def test_egle_all_candidates_failing_raises():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         with pytest.raises(EstimatorError) as info:
-            egle_estimate(problem, EstimatorConfig("egle", w0=np.array([0.1, -0.2])))
-    singular = "error: singular Newton system (cond(J) = inf)"
+            estimate(problem, EstimatorConfig("egle", w0=np.array([0.1, -0.2])))
+    singular = "error: singular Newton system (cond(KKT) = inf)"
     assert str(info.value) == (
         f"egle failed for every m (m=1: outer=1, {singular}; m=2: outer=1, {singular})"
     )
@@ -642,14 +651,11 @@ def test_constrained_iterates_satisfy_y1_plus_y3_zero(method, n_records, seed):
     # every iterate after the start lies on C^T w = y1 + y3 = 0, whether it
     # comes from the multiplier correction (cmtc) or a KKT Newton step (egle)
     problem = _tied_window(n_records, seed)
-    w0 = tls_estimate(problem).w
-    if method == "cmtc":
-        run, config = cmtc_estimate, EstimatorConfig("cmtc", w0=w0, max_iters=200)
-    else:
-        run, config = egle_estimate, EstimatorConfig("egle", w0=w0, max_iters=10)
+    w0 = estimate(problem, EstimatorConfig("tls")).w
+    config = EstimatorConfig(method, w0=w0, max_iters=200 if method == "cmtc" else 10)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # EM variance floor
-        res = run(problem, config)
+        res = estimate(problem, config)
     assert len(res.trace) > 1
     for w, _ in res.trace[1:]:
         assert abs(w[0] + w[2]) <= 1e-10

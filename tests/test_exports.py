@@ -12,6 +12,11 @@ from pathlib import Path
 
 import pytest
 
+from eiv_lpe.estimators import EstimatorConfig, estimate
+from eiv_lpe.line_model import LineParameters, build_regression
+from eiv_lpe.noise import GaussianNoise, apply_noise
+from eiv_lpe.scenario import LoadRampProfile, Scenario, generate_true_records
+
 MODULES = [
     "eiv_lpe",
     "eiv_lpe.estimators",
@@ -33,6 +38,26 @@ def test_all_names_resolve(name):
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
     assert len(set(module.__all__)) == len(module.__all__)
+
+
+# estimate(problem, config) is the one runner: config.method alone picks the
+# method, so no module offers a per-method runner that could disagree with it.
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_exports_a_per_method_runner(name):
+    module = importlib.import_module(name)
+    public = set(module.__all__) | {attr for attr in vars(module) if not attr.startswith("_")}
+    assert not sorted(attr for attr in public if attr.endswith("_estimate"))
+
+
+@pytest.mark.parametrize("method", ["tls", "mtee", "mtc", "cmtc", "egle"])
+def test_estimate_runs_and_times_the_configured_method(method):
+    noise = GaussianNoise(0.0, 0.01)
+    line = LineParameters(r=0.00269, x=0.0302, b=0.38)
+    scenario = Scenario("one-runner", line, LoadRampProfile(n_records=10), noise)
+    problem = build_regression(apply_noise(generate_true_records(scenario), noise, seed=0))
+    result = estimate(problem, EstimatorConfig(method))
+    assert result.method == method
+    assert result.elapsed > 0
 
 
 # What importing the config reader, the CLI or the bench harness must not

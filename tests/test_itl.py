@@ -12,11 +12,7 @@ from eiv_lpe.estimators import (
     DivergenceError,
     EstimatorConfig,
     EstimatorError,
-    cmtc_estimate,
     estimate,
-    mtc_estimate,
-    mtee_estimate,
-    tls_estimate,
 )
 from eiv_lpe.estimators import itl
 from eiv_lpe.estimators.itl import (
@@ -249,13 +245,13 @@ def test_mtee_stops_where_the_elementwise_oracle_stops(seed, monkeypatch):
     problem = build_regression(apply_noise(records, noise, seed))
     guess = params_to_admittance(initial_guess(ORACLE_LINE, seed))
     config = EstimatorConfig("mtee", w0=guess)
-    res = mtee_estimate(problem, config)
+    res = estimate(problem, config)
 
     def elementwise_kernel(problem, sigma):
         return lambda w: _elementwise_value_grad(problem, w, sigma)
 
     monkeypatch.setattr(itl, "_mtee_kernel", elementwise_kernel)
-    ref = mtee_estimate(problem, config)
+    ref = estimate(problem, config)
     assert res.converged and ref.converged
     assert res.iterations == ref.iterations
     assert np.allclose(res.w, ref.w, rtol=1e-12, atol=0)
@@ -381,7 +377,7 @@ def test_gradients_match_central_differences():
 def test_mtee_recovers_clean_solution():
     rng = np.random.default_rng(4)
     problem, w_true = _random_problem(rng, 60, 3, noise=0.0)
-    res = mtee_estimate(problem, EstimatorConfig("mtee", w0=w_true + 0.05, kernel_sigma=0.1))
+    res = estimate(problem, EstimatorConfig("mtee", w0=w_true + 0.05, kernel_sigma=0.1))
     assert np.abs(res.w - w_true).max() < 1e-4
     assert len(res.trace) == res.iterations + 1
     # ascent: information potential never decreases along the trace
@@ -392,7 +388,7 @@ def test_mtee_recovers_clean_solution():
 def test_mtc_converges_and_traces():
     rng = np.random.default_rng(5)
     problem, w_true = _random_problem(rng, 80, 3, noise=0.005)
-    res = mtc_estimate(problem, EstimatorConfig("mtc", kernel_sigma=0.2, w0=np.zeros(3)))
+    res = estimate(problem, EstimatorConfig("mtc", kernel_sigma=0.2, w0=np.zeros(3)))
     assert res.converged
     assert np.abs(res.w - w_true).max() < 0.05
     assert len(res.trace) == res.iterations + 1
@@ -405,10 +401,10 @@ def test_cmtc_requires_constraint():
     # [X y] of the second has no finite TLS solution: the check comes before the start
     no_tls = EivProblem(np.array([[1.0], [0.0]]), np.array([0.0, 1e6]))
     with pytest.raises(EstimatorError):
-        tls_estimate(no_tls)
+        estimate(no_tls, EstimatorConfig("tls"))
     for unconstrained in (problem, no_tls):
         with pytest.raises(ValueError, match="requires a problem with an equality constraint"):
-            cmtc_estimate(unconstrained, EstimatorConfig("cmtc"))
+            estimate(unconstrained, EstimatorConfig("cmtc"))
 
 
 def _noisy_stock_window(seed=0):
@@ -436,7 +432,7 @@ def test_unconstrained_methods_ignore_the_window_constraint(method):
 def test_ascent_without_w0_starts_from_tls(method):
     problem = _noisy_stock_window(seed=1)
     res = estimate(problem, EstimatorConfig(method, max_iters=3))
-    assert res.trace[0][0].tobytes() == tls_estimate(problem).w.tobytes()
+    assert res.trace[0][0].tobytes() == estimate(problem, EstimatorConfig("tls")).w.tobytes()
 
 
 @pytest.mark.parametrize("method", ["mtee", "mtc", "cmtc"])
@@ -456,7 +452,7 @@ def test_cmtc_constraint_holds_every_iterate():
     c, f = problem.constraint
     w0 = w_true.copy()
     w0[1:] += 0.1
-    res = cmtc_estimate(problem, EstimatorConfig("cmtc", kernel_sigma=0.2, w0=w0, max_iters=500))
+    res = estimate(problem, EstimatorConfig("cmtc", kernel_sigma=0.2, w0=w0, max_iters=500))
     for w, _ in res.trace:
         assert abs((c.T @ w).item() - f.item()) < 1e-12
     assert np.abs(res.w - w_true).max() < 0.05
@@ -466,14 +462,14 @@ def test_divergence_guard():
     rng = np.random.default_rng(8)
     problem, _ = _random_problem(rng, 20, 2)
     with pytest.raises(DivergenceError):
-        mtc_estimate(problem, EstimatorConfig("mtc", step=1e18, kernel_sigma=5.0))
+        estimate(problem, EstimatorConfig("mtc", step=1e18, kernel_sigma=5.0))
 
 
 def test_w0_shape_validation():
     rng = np.random.default_rng(9)
     problem, _ = _random_problem(rng, 20, 3)
     with pytest.raises(ValueError):
-        mtee_estimate(problem, EstimatorConfig("mtee", w0=np.zeros(2)))
+        estimate(problem, EstimatorConfig("mtee", w0=np.zeros(2)))
 
 
 def test_explicit_step_is_used():
@@ -481,7 +477,7 @@ def test_explicit_step_is_used():
     rng = np.random.default_rng(10)
     problem, w_true = _random_problem(rng, 30, 2)
     w0 = w_true + 0.1
-    res = mtc_estimate(
+    res = estimate(
         problem, EstimatorConfig("mtc", w0=w0, step=0.01, kernel_sigma=0.2, max_iters=3, tol=1e-20)
     )
     assert res.iterations == 3

@@ -189,3 +189,19 @@ def test_eiv_problem_validation():
     ok = EivProblem(x, y, constraint=([[1.0], [0.0]], [0.5]))
     assert ok.x.shape == (4, 2)
     assert ok.constraint[0].shape == (2, 1)
+    with pytest.raises(ValueError, match="constraint must be finite"):
+        EivProblem(x, y, constraint=([[np.nan], [1.0]], [0.0]))
+
+
+@pytest.mark.parametrize(
+    "c",
+    [np.zeros((4, 1)), np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0], [0.0, 0.0]]),
+     np.eye(4, 5)],
+    ids=["zero-column", "parallel-columns", "more-columns-than-rows"],
+)
+def test_eiv_problem_rejects_dependent_constraint_columns(c):
+    # C^T C would be singular: cmtc could not invert it and egle's KKT
+    # system would be singular at every step
+    x, y = np.eye(4), np.ones(4)
+    with pytest.raises(ValueError, match="constraint columns must be linearly independent"):
+        EivProblem(x, y, constraint=(c, np.zeros(c.shape[1])))

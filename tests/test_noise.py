@@ -187,6 +187,29 @@ def test_em_fit_rejects_max_iter_below_one(max_iter):
             em_fit(x, 2, max_iter=max_iter, init=init)
 
 
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize(
+    "name, value",
+    [("m", True), ("m", 2.0), ("m", "2"), ("m", np.float64(2.0)), ("m", 0),
+     ("max_iter", 2.5), ("max_iter", "3")],
+    ids=["m-bool", "m-float", "m-str", "m-float64", "m-zero", "max_iter-float", "max_iter-str"],
+)
+def test_em_fit_rejects_a_non_integer_count(m, name, value):
+    # a bool, float or str m or max_iter fails before any sample is read,
+    # naming the argument, whatever the valid m is
+    x = sample_noise(GaussianNoise(0.0, 1.0), 50, seed=2)
+    with pytest.raises(ValueError, match=f"^{name} must be an integer of at least 1"):
+        em_fit(x, **{"m": m, "max_iter": 50, name: value})
+
+
+def test_em_fit_takes_numpy_integer_counts():
+    x = sample_noise(GaussianNoise(0.0, 1.0), 50, seed=2)
+    fit = em_fit(x, np.int64(2), max_iter=np.int32(50))
+    ref = em_fit(x, 2, max_iter=50)
+    assert fit.model.m == 2
+    assert fit.model.means.tobytes() == ref.model.means.tobytes()
+
+
 def test_em_variance_floor_warning():
     with pytest.warns(UserWarning):
         fit = em_fit(np.zeros(5), 1)

@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from eiv_lpe.estimators import EstimatorConfig, EstimatorError
-from eiv_lpe.estimators.tls import tls_estimate, tls_objective
+from eiv_lpe.estimators import EstimatorConfig, EstimatorError, estimate
+from eiv_lpe.estimators.tls import tls_objective
 from eiv_lpe.line_model import EivProblem, LineParameters, build_regression, params_to_admittance
 from eiv_lpe.scenario import LoadRampProfile, Scenario, generate_true_records
 
 
 def test_tls_trivial_consistent_system():
     problem = EivProblem(np.array([[1.0], [2.0]]), np.array([2.0, 4.0]))
-    res = tls_estimate(problem, EstimatorConfig("tls"))
+    res = estimate(problem, EstimatorConfig("tls"))
     assert np.allclose(res.w, [2.0], rtol=0, atol=1e-12)
     assert res.converged
     assert res.iterations == 1
@@ -37,7 +37,7 @@ def test_tls_matches_normal_matrix_eigenvector():
         x = rng.normal(size=(n, p)) + 0.02 * rng.normal(size=(n, p))
         y = x @ w_true + 0.02 * rng.normal(size=n)
         problem = EivProblem(x, y)
-        res = tls_estimate(problem, EstimatorConfig("tls"))
+        res = estimate(problem, EstimatorConfig("tls"))
         m = np.column_stack([x, y])
         _, vecs = np.linalg.eigh(m.T @ m)
         v = vecs[:, 0]
@@ -50,7 +50,7 @@ def test_tls_minimizes_objective():
     x = rng.normal(size=(30, 2))
     y = x @ np.array([1.0, -2.0]) + 0.05 * rng.normal(size=30)
     problem = EivProblem(x, y)
-    res = tls_estimate(problem, EstimatorConfig("tls"))
+    res = estimate(problem, EstimatorConfig("tls"))
     best = tls_objective(problem, res.w)
     for _ in range(25):
         probe = res.w + rng.normal(0, 0.1, 2)
@@ -62,15 +62,15 @@ def test_tls_no_solution_direction():
     # vector has a zero last component and no finite w exists
     problem = EivProblem(np.array([[1.0], [0.0]]), np.array([0.0, 1e6]))
     with pytest.raises(EstimatorError):
-        tls_estimate(problem, EstimatorConfig("tls"))
+        estimate(problem, EstimatorConfig("tls"))
 
 
 @pytest.mark.parametrize("w0", [[5.0], [1.0, 2.0], [np.nan]], ids=["valid", "wrong-shape", "nan"])
 def test_tls_takes_no_start(w0):
     # tls ignores w0: neither read nor checked, its trace starts at zeros
     problem = EivProblem(np.array([[1.0], [2.0], [3.5]]), np.array([2.0, 4.1, 6.9]))
-    plain = tls_estimate(problem, EstimatorConfig("tls"))
-    res = tls_estimate(problem, EstimatorConfig("tls", w0=np.array(w0)))
+    plain = estimate(problem, EstimatorConfig("tls"))
+    res = estimate(problem, EstimatorConfig("tls", w0=np.array(w0)))
     assert np.array_equal(res.w, plain.w)
     assert np.array_equal(res.trace.w, plain.trace.w)
     assert np.array_equal(res.trace.objective, plain.trace.objective)
@@ -85,7 +85,7 @@ def test_tls_square_consistent_system():
     rng = np.random.default_rng(11)
     x = rng.normal(size=(4, 4))
     w_true = np.array([1.0, 2.0, 3.0, 4.0])
-    res = tls_estimate(EivProblem(x, x @ w_true))
+    res = estimate(EivProblem(x, x @ w_true), EstimatorConfig("tls"))
     assert np.allclose(res.w, w_true, rtol=1e-10, atol=0)
 
 
@@ -96,5 +96,5 @@ def test_tls_one_record_window_is_exact():
     problem = build_regression(records)
     assert problem.x.shape == (4, 4)
     w_true = params_to_admittance(line)
-    res = tls_estimate(problem)
+    res = estimate(problem, EstimatorConfig("tls"))
     assert np.allclose(res.w, w_true, rtol=1e-9, atol=0)
